@@ -7,9 +7,10 @@ Gaussian term plus a polynomial-in-t correction whose weight carries the
 sample's tail order alpha.
 
 Sparse spectral error RIP_n(k), the maximum over k-sparse unit vectors
-theta of |theta' D theta|, is computed two ways: exact support
-enumeration (combinatorial, capped) and a deterministic 1/4-net of each
-k-sparse sphere, which certifies RIP_n(k) <= 2 * net maximum.
+theta of |theta' D theta|, is computed two ways on the same k x k blocks
+D[S, S] of every size-k support S (combinatorial, capped): exactly, by
+their eigenvalues, and on a deterministic 1/4-net of the unit sphere in
+R^k, which certifies RIP_n(k) <= 2 * net maximum.
 
 Restricted eigenvalue verification follows the xi route: a computable
 deviation level xi yields the lower bound
@@ -28,7 +29,6 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -36,7 +36,6 @@ from .orlicz import BoundConstants
 from .samplers import DataMatrix, RngStream
 
 __all__ = [
-    "GramPair",
     "RipMethod",
     "RipResult",
     "QuarterNet",
@@ -56,16 +55,18 @@ __all__ = [
     "re_check",
     "rsc_lower",
     "cone_min_oracle",
-    "save_matrix_csv",
-    "load_matrix_csv",
 ]
 
-# Exact RIP enumerates binomial(p, k) supports; past this cap only the
-# net route is offered.
+# Both RIP routes enumerate binomial(p, k) supports; past this cap
+# neither is offered.
 _SUPPORT_CAP = 200_000
 
 # Batched eigenvalue chunk for rip_exact submatrices.
 _EIG_CHUNK = 20_000
+
+# rip_net evaluates chunks of supports whose (supports, mesh, k)
+# intermediate holds about this many floats (8 MB).
+_NET_CHUNK_VALUES = 1 << 20
 
 # Mesh schedule for the per-sphere 1/4-nets: points on the circle, then
 # band half-widths for each recursion level.  Radii compose as
@@ -86,26 +87,6 @@ def _require_symmetric(matrix: np.ndarray, name: str = "matrix") -> np.ndarray:
     return matrix
 
 
-@dataclass(frozen=True, eq=False)
-class GramPair:
-    """Estimated second-moment matrix paired with its population target."""
-
-    sigma_hat: np.ndarray
-    sigma: np.ndarray
-    centered: bool = False
-
-    def __post_init__(self) -> None:
-        sigma_hat = _require_symmetric(self.sigma_hat, "sigma_hat")
-        sigma = _require_symmetric(self.sigma, "sigma")
-        if sigma_hat.shape != sigma.shape:
-            raise ValueError("sigma_hat and sigma must have equal shapes")
-        scale = max(1.0, float(np.max(np.abs(sigma_hat))))
-        if float(np.min(np.linalg.eigvalsh(sigma_hat))) < -1e-10 * scale:
-            raise ValueError("sigma_hat must be positive semidefinite")
-        object.__setattr__(self, "sigma_hat", sigma_hat)
-        object.__setattr__(self, "sigma", sigma)
-
-
 class RipMethod(enum.Enum):
     EXACT = "exact"
     QUARTER_NET = "quarter_net"
@@ -115,8 +96,8 @@ class RipMethod(enum.Enum):
 class RipResult:
     """Sparse spectral error value with its provenance.
 
-    An EXACT value is the true RIP_n(k).  A QUARTER_NET value v computed
-    on an exhaustive-support net certifies RIP_n(k) <= 2 v.
+    An EXACT value is the true RIP_n(k).  A QUARTER_NET value v
+    certifies RIP_n(k) <= 2 v.
     """
 
     value: float
@@ -132,15 +113,24 @@ class RipResult:
 
 @dataclass(frozen=True, eq=False)
 class QuarterNet:
-    """1/4-net of the k-sparse unit sphere, one mesh per covered support."""
+    """1/4-net of the k-sparse unit sphere in R^p, kept as a product.
 
+    ``supports`` is the (s, k) array of every size-k support of range(p)
+    and ``vectors`` the (m, k) unit mesh of the sphere in R^k.  Net point
+    (S, u) is the p-vector equal to u on S and zero elsewhere; it is
+    never materialised.
+    """
+
+    supports: np.ndarray
     vectors: np.ndarray
     k: int
-    exhaustive: bool
-    supports_evaluated: int
+
+    @property
+    def supports_evaluated(self) -> int:
+        return self.supports.shape[0]
 
     def __len__(self) -> int:
-        return self.vectors.shape[0]
+        return self.supports.shape[0] * self.vectors.shape[0]
 
 
 @dataclass(frozen=True)
@@ -257,6 +247,26 @@ def hard_threshold(matrix: np.ndarray, lam: float) -> np.ndarray:
 # sparse spectral error
 
 
+def _supports(p: int, k: int) -> np.ndarray:
+    """Every size-k support of range(p), as sorted rows of an (s, k) array."""
+    if not 1 <= k <= p:
+        raise ValueError("k must lie in [1, p]")
+    total = math.comb(p, k)
+    if total > _SUPPORT_CAP:
+        raise ValueError(
+            f"binomial(p, k) = {total} exceeds the enumeration cap {_SUPPORT_CAP}"
+        )
+    flat = itertools.chain.from_iterable(itertools.combinations(range(p), k))
+    return np.fromiter(flat, dtype=np.intp, count=total * k).reshape(total, k)
+
+
+def _support_blocks(d: np.ndarray, supports: np.ndarray, chunk: int):
+    """Yield the principal submatrices d[S, S], chunk supports at a time."""
+    for start in range(0, supports.shape[0], chunk):
+        idx = supports[start : start + chunk]
+        yield d[idx[:, :, None], idx[:, None, :]]
+
+
 def rip_exact(d: np.ndarray, k: int) -> RipResult:
     """Exact k-sparse spectral error by support enumeration.
 
@@ -265,26 +275,11 @@ def rip_exact(d: np.ndarray, k: int) -> RipResult:
     monotone), so only size-k supports are enumerated.
     """
     d = _require_symmetric(d)
-    p = d.shape[0]
-    if not 1 <= k <= p:
-        raise ValueError("k must lie in [1, p]")
-    total = math.comb(p, k)
-    if total > _SUPPORT_CAP:
-        raise ValueError(
-            f"binomial(p, k) = {total} exceeds the enumeration cap "
-            f"{_SUPPORT_CAP}; use quarter_net + rip_net instead"
-        )
+    supports = _supports(d.shape[0], k)
     best = 0.0
-    supports = itertools.combinations(range(p), k)
-    while True:
-        chunk = list(itertools.islice(supports, _EIG_CHUNK))
-        if not chunk:
-            break
-        idx = np.asarray(chunk)
-        blocks = d[idx[:, :, None], idx[:, None, :]]
-        eigs = np.linalg.eigvalsh(blocks)
-        best = max(best, float(np.max(np.abs(eigs))))
-    return RipResult(best, k, RipMethod.EXACT, supports_evaluated=total)
+    for blocks in _support_blocks(d, supports, _EIG_CHUNK):
+        best = max(best, float(np.max(np.abs(np.linalg.eigvalsh(blocks)))))
+    return RipResult(best, k, RipMethod.EXACT, supports_evaluated=len(supports))
 
 
 def _sphere_net(k: int) -> np.ndarray:
@@ -317,49 +312,34 @@ def _sphere_net(k: int) -> np.ndarray:
     return np.concatenate([upper, lower], axis=2).reshape(-1, k)
 
 
-def quarter_net(k: int, p: int, cap: int, rng: RngStream) -> QuarterNet:
+def quarter_net(k: int, p: int) -> QuarterNet:
     """1/4-net of the k-sparse unit sphere in R^p.
 
-    Covers every size-k support when binomial(p, k) <= cap, otherwise a
-    random sample of cap supports (then not exhaustive).  Per support the
-    net is the deterministic sphere mesh, so cardinality and memory are
-    (supports) x (mesh size) x p; keep cap sane for large p.
+    Covers every size-k support (under the same enumeration cap as
+    rip_exact) with the deterministic sphere mesh, so its cardinality is
+    (supports) x (mesh size) while its memory is (supports + mesh) x k.
     """
-    if not 1 <= k <= p:
-        raise ValueError("k must lie in [1, p]")
-    if cap < 1:
-        raise ValueError("cap must be positive")
-    total = math.comb(p, k)
-    if total <= cap:
-        supports = np.asarray(list(itertools.combinations(range(p), k)))
-        exhaustive = True
-    else:
-        gen = rng.generator()
-        draws = np.stack([gen.choice(p, size=k, replace=False) for _ in range(cap)])
-        supports = np.unique(np.sort(draws, axis=1), axis=0)
-        exhaustive = False
-    mesh = _sphere_net(k)
-    n_support, n_mesh = supports.shape[0], mesh.shape[0]
-    vectors = np.zeros((n_support * n_mesh, p))
-    rows = np.repeat(np.arange(n_support * n_mesh)[:, None], k, axis=1)
-    cols = np.repeat(supports, n_mesh, axis=0)
-    vectors[rows, cols] = np.tile(mesh, (n_support, 1))
-    return QuarterNet(vectors, k, exhaustive, supports_evaluated=n_support)
+    return QuarterNet(_supports(p, k), _sphere_net(k), k)
 
 
 def rip_net(d: np.ndarray, k: int, net: QuarterNet) -> RipResult:
-    """Net maximum of |theta' D theta|; with exhaustive support coverage
+    """Net maximum of |theta' D theta|, evaluated on the blocks D[S, S];
     the true RIP_n(k) is at most twice the returned value."""
     d = _require_symmetric(d)
-    vectors = net.vectors
-    if vectors.shape[1] != d.shape[0]:
-        raise ValueError("net dimension does not match the matrix")
-    norms = np.linalg.norm(vectors, axis=1)
-    if float(np.max(np.abs(norms - 1.0))) > 1e-9:
+    p = d.shape[0]
+    supports, mesh = net.supports, net.vectors
+    if net.k != k or supports.shape[1] != k or mesh.shape[1] != k:
+        raise ValueError("net was built for a different k")
+    if (supports.shape[0] != math.comb(p, k) or int(supports.min()) < 0
+            or int(supports.max()) >= p):
+        raise ValueError("net supports do not cover the matrix dimension")
+    if float(np.max(np.abs(np.linalg.norm(mesh, axis=1) - 1.0))) > 1e-9:
         raise ValueError("net vectors must be unit")
-    if int(np.max(np.count_nonzero(vectors, axis=1))) > net.k:
-        raise ValueError("net vectors must be k-sparse")
-    value = float(np.max(np.abs(np.einsum("ij,jk,ik->i", vectors, d, vectors))))
+    value = 0.0
+    chunk = max(1, _NET_CHUNK_VALUES // mesh.size)
+    for blocks in _support_blocks(d, supports, chunk):
+        quad = np.einsum("mi,cij,mj->cm", mesh, blocks, mesh, optimize=True)
+        value = max(value, float(np.max(np.abs(quad))))
     return RipResult(
         value, k, RipMethod.QUARTER_NET,
         supports_evaluated=net.supports_evaluated, net_size=len(net),
@@ -373,8 +353,11 @@ def upsilon_estimate(x: DataMatrix, k: int, net: QuarterNet) -> float:
         raise ValueError("net must be nonempty")
     if net.k != k:
         raise ValueError("net was built for a different k")
-    projections = x.values @ net.vectors.T
-    return float(np.max(np.var(projections**2, axis=0)))
+    best = 0.0
+    for support in net.supports:
+        projections = x.values[:, support] @ net.vectors.T
+        best = max(best, float(np.max(np.var(projections**2, axis=0))))
+    return best
 
 
 def upsilon_iid(m2: float, m4: float, k: int) -> float:
@@ -484,17 +467,3 @@ def cone_min_oracle(sigma_hat, s, delta, trials, rng: RngStream) -> float:
         ratio = float(theta @ sigma_hat @ theta) / float(theta @ theta)
         best = min(best, ratio)
     return best
-
-
-# ---------------------------------------------------------------------------
-# CSV interchange
-
-
-def save_matrix_csv(matrix: np.ndarray, path) -> None:
-    """Row-major CSV at full float64 precision."""
-    np.savetxt(Path(path), np.atleast_2d(np.asarray(matrix, dtype=float)),
-               fmt="%.17g", delimiter=",")
-
-
-def load_matrix_csv(path) -> np.ndarray:
-    return np.atleast_2d(np.loadtxt(Path(path), delimiter=",", dtype=float))

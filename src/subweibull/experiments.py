@@ -8,7 +8,8 @@ what order they finish.  The driver writes results.csv, summary.csv,
 one SVG per swept axis that has a plot registered, and a manifest.json
 listing every artifact with its SHA-256 digest.
 
-Config files are flat ``key = value`` lines ('#' starts a comment).
+Config files are flat ``key = value`` lines; a '#' at the start of a
+line or after whitespace starts a comment, so values may contain '#'.
 Grid axes take comma separated values and are swept as a cartesian
 product in the order the experiment declares; every other key is a
 scalar option, a constants override, or one of the driver keys
@@ -22,6 +23,7 @@ import hashlib
 import itertools
 import json
 import math
+import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -104,6 +106,7 @@ _GRID_STRIDE = 1_000_003
 _BLOCK = 8
 
 _INT_GRID_KEYS = frozenset({"n", "p", "k", "q"})
+_COMMENT = re.compile(r"(?:^|\s)#")
 _CONSTANT_FIELDS = tuple(f.name for f in dataclasses.fields(BoundConstants))
 _SCHEMA_VERSION = 1
 _SLACK = 1e-12
@@ -189,11 +192,19 @@ def _parse_number(key: str, raw: str, lineno: int) -> float:
         ) from None
 
 
+def _parse_integral(key: str, raw: str, lineno: int) -> Optional[int]:
+    """raw as an exact integer; None for a number that is not one."""
+    try:
+        return int(raw)
+    except ValueError:
+        _parse_number(key, raw, lineno)
+        return None
+
+
 def _parse_int(key: str, raw: str, lineno: int, minimum: int = 0) -> int:
-    value = _parse_number(key, raw, lineno)
-    if value != int(value):
+    value = _parse_integral(key, raw, lineno)
+    if value is None:
         raise ConfigError(f"line {lineno}: '{key}' must be an integer, got {raw!r}")
-    value = int(value)
     if value < minimum:
         raise ConfigError(f"line {lineno}: '{key}' must be at least {minimum}")
     return value
@@ -205,17 +216,18 @@ def _parse_grid(key: str, raw: str, lineno: int) -> tuple:
         raise ConfigError(f"line {lineno}: empty entry in grid '{key}'")
     values = []
     for tok in tokens:
-        value = _parse_number(key, tok, lineno)
         if key in _INT_GRID_KEYS:
-            if value != int(value) or value <= 0:
+            value = _parse_integral(key, tok, lineno)
+            if value is None or value <= 0:
                 raise ConfigError(
                     f"line {lineno}: grid '{key}' needs positive integers, got {tok!r}"
                 )
-            value = int(value)
-        elif not value > 0.0:
-            raise ConfigError(
-                f"line {lineno}: grid '{key}' needs positive values, got {tok!r}"
-            )
+        else:
+            value = _parse_number(key, tok, lineno)
+            if not value > 0.0:
+                raise ConfigError(
+                    f"line {lineno}: grid '{key}' needs positive values, got {tok!r}"
+                )
         values.append(value)
     return tuple(values)
 
@@ -249,7 +261,7 @@ def parse_config(text: str) -> ExperimentConfig:
     """Parse flat key=value text into a validated ExperimentConfig."""
     entries = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.split(raw, 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
@@ -515,22 +527,17 @@ def _rip_task(config, point, rep, stream):
     x = draw_matrix(law, n, stream)
     deviation = gram(x) - np.diag(law.coordinate_variances)
     exact = rip_exact(deviation, k).value
-    row = {"exact_value": exact}
-    if config.options["net"] and k <= 3:
-        net = quarter_net(k, p, config.options["net_cap"], _substream(stream, 1))
-        net_value = rip_net(deviation, k, net).value
-        certified = exact <= 2.0 * net_value + _SLACK
-        if net.exhaustive and not certified:
+    row = {"exact_value": exact, "net_value": math.nan, "certified": math.nan}
+    if k <= 3:
+        net_value = rip_net(deviation, k, quarter_net(k, p)).value
+        if exact > 2.0 * net_value + _SLACK:
             raise InvariantViolation(
-                "net certificate failed: exhaustive quarter net gave "
+                "net certificate failed: quarter net gave "
                 f"exact {exact:.6g} > 2 x net {net_value:.6g} "
                 f"(alpha={alpha}, p={p}, k={k}, n={n}, rep={rep})"
             )
         row["net_value"] = net_value
-        row["certified"] = certified
-    else:
-        row["net_value"] = math.nan
-        row["certified"] = math.nan
+        row["certified"] = True
     return row
 
 
@@ -775,12 +782,11 @@ def _clt_summary(config, points, nested):
     marginal = _clt_marginal(config)
     k_nq = config.options["k_nq"] or marginal.psi_norm
     beta = config.options["beta"] or marginal.tail_exponent
-    big_b = config.options["big_b"] or marginal.variance
     out = []
     for point, rows in zip(points, nested):
         bound, condition_ok = hdclt_bound(
             config.options["l_nq"], k_nq, point["n"], point["q"],
-            beta, big_b, config.constants,
+            beta, config.constants,
         )
         out.append({
             **point,
@@ -806,6 +812,13 @@ def _bootstrap_task(config, point, rep, stream):
     boot = multiplier_draws(x, config.options["draws"], _substream(stream, 1))
     cutoff = float(np.quantile(boot.values, config.options["nominal"]))
     return {"stat": stat, "cutoff": cutoff, "covered": stat <= cutoff}
+
+
+def _bootstrap_validate(config):
+    if any(n < 2 for n in config.grids["n"]):
+        raise ConfigError("bootstrap: the multiplier draws need n >= 2 rows")
+    if not 0.0 < config.options["nominal"] < 1.0:
+        raise ConfigError("bootstrap: nominal must lie in (0, 1)")
 
 
 def _bootstrap_summary(config, points, nested):
@@ -919,10 +932,7 @@ _register(Experiment(
     scan_keys=("alpha", "p", "k", "n"),
     grid_defaults={"alpha": (1.0,), "p": (30,), "k": (2,),
                    "n": (500, 1000, 2000, 4000), "__reps__": 25},
-    options=(
-        OptionSpec("net", "flag", True),
-        _integer("net_cap", 200_000),
-    ),
+    options=(),
     task=_rip_task,
     summarize=_rip_summary,
     validate=_rip_validate,
@@ -997,7 +1007,6 @@ _register(Experiment(
         _flt("l_nq", 1.0, minimum=0.0),
         _flt("k_nq", 0.0, minimum=0.0),  # 0 derives the marginal norm
         _flt("beta", 0.0, minimum=0.0),  # 0 derives the marginal tail order
-        _flt("big_b", 0.0, minimum=0.0),  # 0 derives the marginal variance
     ),
     task=_clt_task,
     summarize=_clt_summary,
@@ -1020,6 +1029,7 @@ _register(Experiment(
     ),
     task=_bootstrap_task,
     summarize=_bootstrap_summary,
+    validate=_bootstrap_validate,
     plots=(
         PlotSpec("summary", "n", "coverage", False),
         PlotSpec("summary", "q", "coverage", False),

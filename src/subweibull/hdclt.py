@@ -206,7 +206,7 @@ def rho_rectangle_proxy(a: MaxStatSample, b: MaxStatSample, grid: int = 512) -> 
     return float(np.max(np.abs(f_a - f_b)))
 
 
-def hdclt_bound(l_nq, k_nq, n, q, beta, big_b, constants=None):
+def hdclt_bound(l_nq, k_nq, n, q, beta, constants=None):
     """Gaussian approximation error bound and its sample-size condition.
 
     Returns ``(bound, condition_ok)`` with
@@ -220,17 +220,16 @@ def hdclt_bound(l_nq, k_nq, n, q, beta, big_b, constants=None):
             >= max(1, 2^(1/beta - 1)) (log^(1/beta) q + (6/beta)^(1/beta) + 1).
 
     ``l_nq`` bounds the worst coordinate's average third absolute
-    moment, ``k_nq`` the worst marginal psi_beta norm, and ``big_b`` is
-    the variance floor the configured constants implicitly depend on; it
-    is validated but enters no formula.  q enters only through log q, so
+    moment and ``k_nq`` the worst marginal psi_beta norm.  q enters only
+    through log q, so
     non-integer values are accepted for analytic sweeps.  At q = 1 the
     condition degenerates (log q = 0 on both sides) and condition_ok is
     True by convention.
     """
     if constants is None:
         constants = BoundConstants()
-    if not (l_nq > 0 and k_nq > 0 and n > 0 and beta > 0 and big_b > 0):
-        raise ValueError("l_nq, k_nq, n, beta, and big_b must be positive")
+    if not (l_nq > 0 and k_nq > 0 and n > 0 and beta > 0):
+        raise ValueError("l_nq, k_nq, n, and beta must be positive")
     if not q >= 1:
         raise ValueError("q must be at least 1")
     log_q = math.log(q)

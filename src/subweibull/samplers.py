@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -61,8 +60,6 @@ __all__ = [
     "draw_matrix",
     "make_regression",
     "population_beta0",
-    "dump_matrix",
-    "load_matrix",
 ]
 
 _UINT64_BOUND = 2**64
@@ -714,31 +711,3 @@ def make_regression(design, beta0, noise, n, rng, misspec=None, oracle_n=10**6):
             raise ValueError("misspec must map an (m, p) block to (m,) values")
         beta0 = _accumulate_beta0(design, misspec, int(oracle_n), gen)
     return RegressionData(x, signal + eps, eps, beta0)
-
-
-# ---------------------------------------------------------------------------
-# binary interchange format
-
-
-def dump_matrix(data: DataMatrix, path, seed: int) -> None:
-    """Write values as flat little-endian float64 plus an 'n p seed' sidecar."""
-    path = Path(path)
-    path.write_bytes(np.ascontiguousarray(data.values, dtype="<f8").tobytes())
-    path.with_suffix(path.suffix + ".hdr").write_text(
-        f"{data.n} {data.p} {int(seed)}\n"
-    )
-
-
-def load_matrix(path):
-    """Read a dumped matrix; returns (values, seed)."""
-    path = Path(path)
-    header = path.with_suffix(path.suffix + ".hdr").read_text().split()
-    if len(header) != 3:
-        raise ValueError("sidecar header must hold exactly 'n p seed'")
-    n, p, seed = (int(token) for token in header)
-    flat = np.frombuffer(path.read_bytes(), dtype="<f8")
-    if flat.size != n * p:
-        raise ValueError(
-            f"payload holds {flat.size} values, header promises {n * p}"
-        )
-    return flat.reshape(n, p).copy(), seed

@@ -142,8 +142,7 @@ def test_sparse_operator_net_certificate_and_monotonicity():
         stream = sp.RngStream(SEED, 100_000 + 8 * instances)
         x = sp.draw_matrix(law, n, stream)
         deviation = cv.gram(x) - np.diag(law.coordinate_variances)
-        net = cv.quarter_net(k, p, 200_000, sp.RngStream(SEED, 100_001 + 8 * instances))
-        assert net.exhaustive
+        net = cv.quarter_net(k, p)
         exact = cv.rip_exact(deviation, k).value
         if exact > 2.0 * cv.rip_net(deviation, k, net).value + 1e-12:
             cert_fail += 1
@@ -376,12 +375,12 @@ def test_max_statistic_gaussian_distance_trend():
         n = float(gen.uniform(1e3, 1e7))
         q = float(gen.uniform(2.0, 1e4))
         beta = float(gen.uniform(0.5, 2.0))
-        big_b = float(gen.uniform(0.5, 2.0))
-        base_bound, _ = hc.hdclt_bound(l_nq, k_nq, n, q, beta, big_b)
-        up_n, _ = hc.hdclt_bound(l_nq, k_nq, 4.0 * n, q, beta, big_b)
-        up_q, _ = hc.hdclt_bound(l_nq, k_nq, n, 2.0 * q, beta, big_b)
-        up_l, _ = hc.hdclt_bound(2.0 * l_nq, k_nq, n, q, beta, big_b)
-        up_k, _ = hc.hdclt_bound(l_nq, 2.0 * k_nq, n, q, beta, big_b)
+        gen.uniform(0.5, 2.0)  # keeps the gate's parameter sequence fixed
+        base_bound, _ = hc.hdclt_bound(l_nq, k_nq, n, q, beta)
+        up_n, _ = hc.hdclt_bound(l_nq, k_nq, 4.0 * n, q, beta)
+        up_q, _ = hc.hdclt_bound(l_nq, k_nq, n, 2.0 * q, beta)
+        up_l, _ = hc.hdclt_bound(2.0 * l_nq, k_nq, n, q, beta)
+        up_k, _ = hc.hdclt_bound(l_nq, 2.0 * k_nq, n, q, beta)
         if not (up_n < base_bound and up_q > base_bound
                 and up_l > base_bound and up_k > base_bound):
             bound_fail += 1

@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from subweibull import cli
@@ -81,6 +87,27 @@ def test_run_rejects_bad_flag_values(tmp_path, capsys):
     assert cli.main(["run", cfg, "--seed", "-1"]) == 2
     err = capsys.readouterr().err
     assert "--workers" in err and "--seed" in err
+
+
+def _cap_address_space():
+    # 3 GiB: a dense net for this config (63 GiB) fails fast with MemoryError
+    # instead of drawing the kernel's out-of-memory killer
+    resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+
+def test_run_rip_large_p_fits_in_memory(tmp_path):
+    cfg = _write_config(
+        tmp_path, "experiment = rip\np = 100\nk = 3\nn = 400\nreps = 1\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    done = subprocess.run(
+        [sys.executable, "-m", "subweibull.cli", "run", cfg,
+         "--out", str(tmp_path / "out")],
+        env=env, preexec_fn=_cap_address_space, capture_output=True,
+        text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_version_flag():

@@ -84,15 +84,6 @@ def test_hard_threshold():
         cv.hard_threshold(np.array([[1.0, 0.2], [0.1, 1.0]]), 0.5)
 
 
-def test_gram_pair_validation():
-    with pytest.raises(ValueError):
-        cv.GramPair(np.array([[1.0, 0.2], [0.1, 1.0]]), np.eye(2))
-    with pytest.raises(ValueError):
-        cv.GramPair(np.diag([1.0, -1.0]), np.eye(2))
-    pair = cv.GramPair(np.eye(2), np.eye(2), centered=True)
-    assert pair.centered
-
-
 def test_rip_exact_examples():
     r = cv.rip_exact(np.diag([0.5, -0.2]), 1)
     assert r.value == 0.5
@@ -164,41 +155,49 @@ def test_sphere_net_covering():
 
 
 def test_quarter_net_structure():
-    net = cv.quarter_net(1, 3, 100, sp.RngStream(0, 0))
-    assert net.exhaustive and net.supports_evaluated == 3
-    rows = {tuple(row) for row in net.vectors}
-    expected = {tuple(s * e) for s in (1.0, -1.0) for e in np.eye(3)}
-    assert rows == expected
-    single = cv.quarter_net(2, 2, 100, sp.RngStream(0, 0))
+    net = cv.quarter_net(1, 3)
+    assert net.supports_evaluated == 3 and len(net) == 6
+    assert np.array_equal(net.supports, [[0], [1], [2]])
+    assert np.array_equal(net.vectors, [[1.0], [-1.0]])
+    single = cv.quarter_net(2, 2)
     assert single.supports_evaluated == 1
-    example = cv.quarter_net(2, 6, 10**6, sp.RngStream(0, 0))
-    assert example.exhaustive
+    example = cv.quarter_net(2, 6)
     assert len(example) <= 15 * 81  # cardinality accounting upper bound
-    # sampled mode: binomial(30, 3) = 4060 supports, cap forces sampling
-    sampled = cv.quarter_net(3, 30, 50, sp.RngStream(5, 1))
-    assert not sampled.exhaustive
-    assert sampled.supports_evaluated <= 50
-    assert np.allclose(np.linalg.norm(sampled.vectors, axis=1), 1.0)
-    assert int(np.max(np.count_nonzero(sampled.vectors, axis=1))) <= 3
-    again = cv.quarter_net(3, 30, 50, sp.RngStream(5, 1))
-    assert np.array_equal(sampled.vectors, again.vectors)
+    # every support of range(30), each once, as sorted rows
+    wide = cv.quarter_net(3, 30)
+    assert wide.supports_evaluated == math.comb(30, 3)
+    assert len({tuple(row) for row in wide.supports}) == math.comb(30, 3)
+    assert np.all(np.diff(wide.supports, axis=1) > 0)
+    assert np.allclose(np.linalg.norm(wide.vectors, axis=1), 1.0)
+    with pytest.raises(ValueError, match="enumeration cap"):
+        cv.quarter_net(3, 120)
+    with pytest.raises(ValueError):
+        cv.quarter_net(4, 3)
+
+
+def test_quarter_net_is_factored():
+    # a dense form, supports x mesh rows of p floats, would take 95.8 MB
+    net = cv.quarter_net(3, 20)
+    assert len(net) == math.comb(20, 3) * net.vectors.shape[0]
+    assert net.supports.nbytes + net.vectors.nbytes < 100_000
 
 
 def test_quarter_net_covers_sparse_sphere():
-    net = cv.quarter_net(3, 5, 100, sp.RngStream(0, 0))
-    assert net.exhaustive
+    net = cv.quarter_net(3, 5)
     gen = np.random.default_rng(3)
     supports = np.argsort(gen.random((5000, 5)), axis=1)[:, :3]
     x = np.zeros((5000, 5))
     direction = gen.standard_normal((5000, 3))
     direction /= np.linalg.norm(direction, axis=1, keepdims=True)
     np.put_along_axis(x, supports, direction, axis=1)
-    nearest = np.sqrt(np.maximum(2.0 - 2.0 * (x @ net.vectors.T).max(axis=1), 0.0))
+    inner = np.max([(x[:, s] @ net.vectors.T).max(axis=1) for s in net.supports],
+                   axis=0)
+    nearest = np.sqrt(np.maximum(2.0 - 2.0 * inner, 0.0))
     assert float(nearest.max()) <= 0.25
 
 
 def test_rip_net_examples():
-    net = cv.quarter_net(2, 4, 100, sp.RngStream(0, 0))
+    net = cv.quarter_net(2, 4)
     zero = cv.rip_net(np.zeros((4, 4)), 2, net)
     assert zero.value == 0.0
     assert zero.method is cv.RipMethod.QUARTER_NET
@@ -207,9 +206,14 @@ def test_rip_net_examples():
     assert identity.value == pytest.approx(1.0, rel=1e-12)
     with pytest.raises(ValueError):
         cv.rip_net(np.eye(5), 2, net)
-    bad = cv.QuarterNet(2.0 * net.vectors, 2, True, net.supports_evaluated)
-    with pytest.raises(ValueError):
+    bad = cv.QuarterNet(net.supports, 2.0 * net.vectors, 2)
+    with pytest.raises(ValueError, match="unit"):
         cv.rip_net(np.eye(4), 2, bad)
+    shifted = cv.QuarterNet(net.supports + 1, net.vectors, 2)
+    with pytest.raises(ValueError, match="dimension"):
+        cv.rip_net(np.eye(4), 2, shifted)
+    with pytest.raises(ValueError, match="different k"):
+        cv.rip_net(np.eye(4), 3, net)
 
 
 def test_rip_net_certifies_exact():
@@ -219,25 +223,40 @@ def test_rip_net_certifies_exact():
         p, k = (10, 2) if trial % 2 == 0 else (8, 3)
         d = gen.standard_normal((p, p))
         d = (d + d.T) / 2.0
-        net = cv.quarter_net(k, p, 10**6, sp.RngStream(13, trial))
+        net = cv.quarter_net(k, p)
         exact = cv.rip_exact(d, k).value
         certified = cv.rip_net(d, k, net).value
         assert exact <= 2.0 * certified + 1e-12
         assert certified <= exact + 1e-12  # net never exceeds the sup
 
 
+def test_rip_net_matches_dense_net():
+    # the dense (supports x mesh, p) net vectors as the reference
+    gen = np.random.default_rng(17)
+    for p, k in ((7, 1), (9, 2), (8, 3)):
+        d = gen.standard_normal((p, p))
+        d = (d + d.T) / 2.0
+        net = cv.quarter_net(k, p)
+        dense = np.zeros((len(net), p))
+        rows = np.arange(len(net))[:, None]
+        dense[rows, np.repeat(net.supports, len(net.vectors), axis=0)] = np.tile(
+            net.vectors, (net.supports_evaluated, 1))
+        reference = float(np.max(np.abs(np.einsum("ij,jk,ik->i", dense, d, dense))))
+        assert cv.rip_net(d, k, net).value == pytest.approx(reference, rel=1e-15)
+
+
 def test_upsilon_estimate():
-    net = cv.quarter_net(1, 2, 10, sp.RngStream(0, 0))
+    net = cv.quarter_net(1, 2)
     constant_rows = _matrix(np.ones((50, 2)))
     assert cv.upsilon_estimate(constant_rows, 1, net) == 0.0
     x = np.array([[0.5], [-1.5], [2.5], [0.0]])
-    net1 = cv.quarter_net(1, 1, 10, sp.RngStream(0, 0))
+    net1 = cv.quarter_net(1, 1)
     assert cv.upsilon_estimate(_matrix(x), 1, net1) == pytest.approx(
         float(np.var(x[:, 0] ** 2))
     )
     law = sp.IidCoordinates(sp.Gaussian(1.0), 3)
     sample = sp.draw_matrix(law, 2 * 10**5, sp.RngStream(2, 0))
-    net3 = cv.quarter_net(1, 3, 100, sp.RngStream(2, 1))
+    net3 = cv.quarter_net(1, 3)
     assert cv.upsilon_estimate(sample, 1, net3) == pytest.approx(2.0, rel=0.05)
     with pytest.raises(ValueError):
         cv.upsilon_estimate(sample, 2, net3)
@@ -354,13 +373,3 @@ def test_threshold_support_rule():
         delta_star = cv.max_elementwise_error(estimate, sigma_star)
         kept = cv.hard_threshold(estimate, delta_star * (1.0 + 1e-9))
         assert np.all(kept[sigma_star == 0.0] == 0.0)
-
-
-def test_csv_roundtrip(tmp_path):
-    gen = np.random.default_rng(5)
-    matrix = gen.standard_normal((4, 4))
-    path = tmp_path / "m.csv"
-    cv.save_matrix_csv(matrix, path)
-    assert np.array_equal(cv.load_matrix_csv(path), matrix)
-    cv.save_matrix_csv(np.array([2.5]), path)
-    assert cv.load_matrix_csv(path).shape == (1, 1)

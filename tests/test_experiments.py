@@ -137,6 +137,8 @@ def test_parse_config_option_types():
     ("experiment = norms\n= 3\n", "missing key"),
     ("experiment = norms\nn = ten\n", "not a number"),
     ("experiment = norms\nn = 100.5\n", "positive integers"),
+    ("experiment = norms\nn = 1e20\n", "positive integers"),
+    ("experiment = norms\nn = inf\n", "positive integers"),
     ("experiment = norms\nn = 0\n", "positive integers"),
     ("experiment = norms\nalpha = -1\n", "positive values"),
     ("experiment = norms\nalpha = 1,,2\n", "empty entry"),
@@ -144,6 +146,14 @@ def test_parse_config_option_types():
     ("experiment = norms\nreps = 0\n", "at least 1"),
     ("experiment = norms\nreps = 2000000\n", "stay below"),
     ("experiment = norms\nseed = -1\n", "at least 0"),
+    ("experiment = norms\nseed = 100.5\n", "must be an integer"),
+    ("experiment = norms\nseed = 1e20\n", "must be an integer"),
+    ("experiment = norms\nseed = ten\n", "not a number"),
+    ("experiment = norms\nseed = 9223372036854775808\n", "below 2\\*\\*63"),
+    ("experiment = re\ncone_trials = 1e3\n", "must be an integer"),
+    ("experiment = rip\nnet = 1\n", "unknown key 'net'"),
+    ("experiment = rip\nnet_cap = 100\n", "unknown key 'net_cap'"),
+    ("experiment = clt\nbig_b = 1\n", "unknown key 'big_b'"),
     ("experiment = norms\nc_gamma_lasso = -0.5\n", "nonnegative"),
     ("experiment = covariance\ncentered = yes\n", "must be 0 or 1"),
     ("experiment = lasso\nnoise = cauchy\n", "must be one of"),
@@ -152,6 +162,23 @@ def test_parse_config_option_types():
 def test_parse_config_rejects(text, fragment):
     with pytest.raises(ex.ConfigError, match=fragment):
         _parse(text)
+
+
+def test_parse_config_integers_are_exact():
+    assert _parse("experiment = norms\nseed = 9007199254740993\n").seed == 2**53 + 1
+    assert _parse("experiment = norms\nseed = 9007199254740992\n").seed == 2**53
+    assert _parse("experiment = norms\nseed = 9223372036854775807\n").seed == 2**63 - 1
+    config = _parse("experiment = norms\nn = 9007199254740993\n")
+    assert config.grids["n"] == (2**53 + 1,)
+
+
+def test_parse_config_hash_inside_value_is_kept():
+    config = _parse(
+        "# leading comment\nexperiment = norms # trailing comment\n"
+        "output_dir = /tmp/a#b\n\tseed = 4\t# tab before the hash\n"
+    )
+    assert config.output_dir == "/tmp/a#b"
+    assert config.seed == 4
 
 
 def test_parse_config_reports_line_numbers():
@@ -173,6 +200,9 @@ def test_parse_config_reports_line_numbers():
      "no stretched-exponential norm"),
     ("experiment = lasso\nlambda_rule = theory_poly\n",
      "expects the pareto noise"),
+    ("experiment = bootstrap\nn = 1\n", "n >= 2"),
+    ("experiment = bootstrap\nnominal = 1.5\n", "nominal must lie in"),
+    ("experiment = bootstrap\nnominal = 0\n", "nominal must lie in"),
 ])
 def test_parse_config_experiment_constraints(text, fragment):
     with pytest.raises(ex.ConfigError, match=fragment):

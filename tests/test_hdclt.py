@@ -163,29 +163,29 @@ def test_rho_coarse_grid_is_a_lower_bound():
 
 def test_hdclt_bound_unit_arithmetic():
     # q = e makes every log factor 1
-    first, _ = hdclt_bound(1.0, 1.0, 1, math.e, 1.0, 1.0, BoundConstants(c_beta_b_clt=0.0))
+    first, _ = hdclt_bound(1.0, 1.0, 1, math.e, 1.0, BoundConstants(c_beta_b_clt=0.0))
     assert first == pytest.approx(1.0, abs=1e-12)
-    both, _ = hdclt_bound(1.0, 1.0, 1, math.e, 1.0, 1.0)
+    both, _ = hdclt_bound(1.0, 1.0, 1, math.e, 1.0)
     assert both == pytest.approx(2.0, abs=1e-12)
-    second_k1, _ = hdclt_bound(1.0, 1.0, 10, 7.0, 2.0, 1.0, BoundConstants(k1_clt=0.0))
-    second_k2, _ = hdclt_bound(1.0, 2.0, 10, 7.0, 2.0, 1.0, BoundConstants(k1_clt=0.0))
+    second_k1, _ = hdclt_bound(1.0, 1.0, 10, 7.0, 2.0, BoundConstants(k1_clt=0.0))
+    second_k2, _ = hdclt_bound(1.0, 2.0, 10, 7.0, 2.0, BoundConstants(k1_clt=0.0))
     assert second_k2 / second_k1 == pytest.approx(64.0, rel=1e-12)
-    assert hdclt_bound(1.0, 1.0, 5, 1, 0.5, 1.0) == (0.0, True)
+    assert hdclt_bound(1.0, 1.0, 5, 1, 0.5) == (0.0, True)
 
 
 def test_hdclt_bound_condition_hand_values():
     # n = 1e6, q = e^8, beta = 1: lhs = (1e6/8)^(1/3)/8 = 6.25,
     # rhs = 8 + 6 + 1 = 15, so the condition fails
-    _, ok = hdclt_bound(1.0, 1.0, 10**6, math.exp(8.0), 1.0, 1.0)
+    _, ok = hdclt_bound(1.0, 1.0, 10**6, math.exp(8.0), 1.0)
     assert ok is False
     # n = 1e9 lifts lhs to 62.5
-    _, ok = hdclt_bound(1.0, 1.0, 10**9, math.exp(8.0), 1.0, 1.0)
+    _, ok = hdclt_bound(1.0, 1.0, 10**9, math.exp(8.0), 1.0)
     assert ok is True
     # beta = 2 shrinks rhs to sqrt(8) + sqrt(3) + 1 = 5.56 < 6.25
-    _, ok = hdclt_bound(1.0, 1.0, 10**6, math.exp(8.0), 2.0, 1.0)
+    _, ok = hdclt_bound(1.0, 1.0, 10**6, math.exp(8.0), 2.0)
     assert ok is True
     # doubling k2 halves lhs back below
-    _, ok = hdclt_bound(1.0, 1.0, 10**6, math.exp(8.0), 2.0, 1.0, BoundConstants(k2_clt=2.0))
+    _, ok = hdclt_bound(1.0, 1.0, 10**6, math.exp(8.0), 2.0, BoundConstants(k2_clt=2.0))
     assert ok is False
 
 
@@ -197,21 +197,21 @@ def test_hdclt_bound_monotonicity_sweep():
         n = float(10.0 ** gen.uniform(1, 5))
         q = float(10.0 ** gen.uniform(0.1, 3))
         beta = float(gen.uniform(0.3, 2.5))
-        base, _ = hdclt_bound(l_nq, k_nq, n, q, beta, 1.0)
-        assert hdclt_bound(l_nq, k_nq, 4.0 * n, q, beta, 1.0)[0] < base
-        assert hdclt_bound(l_nq, k_nq, n, 2.0 * q, beta, 1.0)[0] > base
-        assert hdclt_bound(2.0 * l_nq, k_nq, n, q, beta, 1.0)[0] > base
-        assert hdclt_bound(l_nq, 2.0 * k_nq, n, q, beta, 1.0)[0] > base
+        base, _ = hdclt_bound(l_nq, k_nq, n, q, beta)
+        assert hdclt_bound(l_nq, k_nq, 4.0 * n, q, beta)[0] < base
+        assert hdclt_bound(l_nq, k_nq, n, 2.0 * q, beta)[0] > base
+        assert hdclt_bound(2.0 * l_nq, k_nq, n, q, beta)[0] > base
+        assert hdclt_bound(l_nq, 2.0 * k_nq, n, q, beta)[0] > base
 
 
 def test_hdclt_bound_validation():
-    for bad in ({"l_nq": 0.0}, {"k_nq": -1.0}, {"n": 0}, {"beta": 0.0}, {"big_b": 0.0}):
-        args = {"l_nq": 1.0, "k_nq": 1.0, "n": 10, "q": 5, "beta": 1.0, "big_b": 1.0}
+    for bad in ({"l_nq": 0.0}, {"k_nq": -1.0}, {"n": 0}, {"beta": 0.0}):
+        args = {"l_nq": 1.0, "k_nq": 1.0, "n": 10, "q": 5, "beta": 1.0}
         args.update(bad)
         with pytest.raises(ValueError, match="positive"):
             hdclt_bound(**args)
     with pytest.raises(ValueError, match="q must be"):
-        hdclt_bound(1.0, 1.0, 10, 0.5, 1.0, 1.0)
+        hdclt_bound(1.0, 1.0, 10, 0.5, 1.0)
 
 
 def test_multiplier_identical_rows_give_zero():

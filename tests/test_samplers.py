@@ -304,18 +304,3 @@ def test_population_beta0_singular_design():
     design = sp.IdenticalCoordinates(sp.Gaussian(1.0), 3)
     with pytest.raises(np.linalg.LinAlgError):
         sp.population_beta0(design, lambda X: X[:, 0], 10**4, sp.RngStream(5, 3))
-
-
-def test_dump_load_roundtrip(tmp_path):
-    design = sp.IidCoordinates(sp.Gaussian(1.0), 2)
-    m = sp.draw_matrix(design, 20, sp.RngStream(21, 0))
-    path = tmp_path / "x.bin"
-    sp.dump_matrix(m, path, 21)
-    assert path.stat().st_size == 20 * 2 * 8  # flat little-endian f64
-    assert (tmp_path / "x.bin.hdr").read_text() == "20 2 21\n"
-    values, seed = sp.load_matrix(path)
-    assert seed == 21
-    assert np.array_equal(values, m.values)
-    (tmp_path / "x.bin.hdr").write_text("20 2\n")
-    with pytest.raises(ValueError):
-        sp.load_matrix(path)
