@@ -7,19 +7,23 @@ recovers quantiles of that maximum from a single sample, giving
 intervals whose coverage tracks the nominal level.
 """
 
+import csv
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
 from subweibull import (
     Exponential,
     IidCoordinates,
     RngStream,
-    SymmetricWeibull,
-    coverage_experiment,
     data_max_sample,
     gaussian_analog_sample,
     multiplier_bootstrap,
     draw_matrix,
+    parse_config,
     rho_rectangle_proxy,
+    run,
 )
 
 
@@ -31,24 +35,29 @@ def main() -> None:
     print("distance to the Gaussian analog (2000 max-statistic draws)")
     for i, n in enumerate((50, 200, 800, 3200)):
         data = data_max_sample(law, n, 2000, RngStream(41, 10 * i))
-        analog = gaussian_analog_sample(sigma, n, 2000, RngStream(41, 10 * i + 1))
+        analog = gaussian_analog_sample(sigma, 2000, RngStream(41, 10 * i + 1))
         rho = rho_rectangle_proxy(data, analog, grid=4000)
         print(f"  n={n:<5} rho={rho:.4f}")
 
     print("\nmultiplier bootstrap quantiles from one sample (n=500)")
     x = draw_matrix(law, 500, RngStream(41, 1000))
     boot = multiplier_bootstrap(x, 2000, (0.5, 0.9, 0.95), RngStream(41, 1001))
-    reference = gaussian_analog_sample(sigma, 500, 100_000, RngStream(41, 1002))
+    reference = gaussian_analog_sample(sigma, 100_000, RngStream(41, 1002))
     for level, value in boot.quantiles.items():
-        truth = float(np.quantile(reference.values, level))
+        truth = float(np.quantile(reference, level))
         print(f"  level={level:<5} bootstrap={value:.4f} gaussian={truth:.4f}")
 
     print("\ncoverage of the bootstrap 90% cutoff (500 replications)")
-    for marginal, name in ((SymmetricWeibull(1.0), "symmetric Weibull(1)"),
-                           (Exponential(1.0), "centered Exponential(1)")):
-        vlaw = IidCoordinates(marginal, q)
-        coverage, mc_se = coverage_experiment(
-            vlaw, 300, q, 0.90, 500, 400, RngStream(41, 2000))
+    for law_name, name in (("weibull", "symmetric Weibull(1)"),
+                           ("exponential", "centered Exponential(1)")):
+        with tempfile.TemporaryDirectory() as out:
+            run(parse_config(
+                f"experiment = bootstrap\nlaw = {law_name}\nalpha = 1\n"
+                f"q = {q}\nn = 300\nnominal = 0.9\nreps = 500\ndraws = 400\n"
+                f"seed = 41\noutput_dir = {out}\n"))
+            with open(Path(out) / "summary.csv", newline="") as handle:
+                row = next(csv.DictReader(handle))
+        coverage, mc_se = float(row["coverage"]), float(row["mc_se"])
         print(f"  {name:<24} coverage={coverage:.3f} (mc se {mc_se:.3f})")
 
 

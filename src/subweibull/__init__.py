@@ -86,10 +86,7 @@ from .lasso import (
 )
 from .hdclt import (
     BootstrapResult,
-    MaxStatSample,
-    SampleSource,
     bootstrap_error_bound,
-    coverage_experiment,
     data_max_sample,
     gaussian_analog_sample,
     hdclt_bound,

@@ -81,7 +81,9 @@ def _require_symmetric(matrix: np.ndarray, name: str = "matrix") -> np.ndarray:
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"{name} must be square")
-    scale = max(1.0, float(np.max(np.abs(matrix))) if matrix.size else 1.0)
+    if matrix.size == 0:
+        raise ValueError(f"{name} must be nonempty")
+    scale = max(1.0, float(np.max(np.abs(matrix))))
     if float(np.max(np.abs(matrix - matrix.T))) > 1e-12 * scale:
         raise ValueError(f"{name} must be symmetric")
     return matrix
@@ -200,8 +202,7 @@ def max_elementwise_error(a: np.ndarray, b: np.ndarray) -> float:
         raise ValueError("inputs must be square")
     if a.shape != b.shape:
         raise ValueError("inputs must have equal shapes")
-    rows, cols = np.triu_indices(a.shape[0])
-    return float(np.max(np.abs(a[rows, cols] - b[rows, cols])))
+    return float(np.max(np.abs(np.triu(a - b))))
 
 
 def delta_bound(a_np, k_np, n, p, alpha, t, constants=None, centered=False):

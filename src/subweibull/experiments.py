@@ -51,6 +51,7 @@ from .hdclt import (
     data_max_sample,
     gaussian_analog_sample,
     hdclt_bound,
+    max_statistic,
     multiplier_draws,
     rho_rectangle_proxy,
 )
@@ -515,6 +516,8 @@ def _covariance_summary(config, points, nested):
 def _covariance_validate(config):
     if any(a > 2.0 for a in config.grids["alpha"]):
         raise ConfigError("covariance: the deviation bound needs alpha <= 2")
+    if config.options["centered"] and any(n < 2 for n in config.grids["n"]):
+        raise ConfigError("covariance: the centered estimator needs n >= 2 rows")
 
 
 # ---------------------------------------------------------------------------
@@ -772,7 +775,7 @@ def _clt_task(config, point, rep, stream):
     stat_reps = config.options["stat_reps"]
     data = data_max_sample(law, n, stat_reps, stream)
     analog = gaussian_analog_sample(
-        np.diag(law.coordinate_variances), n, stat_reps, _substream(stream, 1),
+        np.diag(law.coordinate_variances), stat_reps, _substream(stream, 1),
     )
     grid = config.options["rho_grid"] or 2 * stat_reps
     return {"rho": rho_rectangle_proxy(data, analog, grid=grid)}
@@ -807,10 +810,9 @@ def _bootstrap_task(config, point, rep, stream):
     q, n = point["q"], point["n"]
     law = IidCoordinates(_clt_marginal(config), q)
     x = draw_matrix(law, n, stream)
-    stat = float(np.max((x.values - law.coordinate_means).sum(axis=0))
-                 / math.sqrt(n))
+    stat = max_statistic(x.values, law.coordinate_means)
     boot = multiplier_draws(x, config.options["draws"], _substream(stream, 1))
-    cutoff = float(np.quantile(boot.values, config.options["nominal"]))
+    cutoff = float(np.quantile(boot, config.options["nominal"]))
     return {"stat": stat, "cutoff": cutoff, "covered": stat <= cutoff}
 
 

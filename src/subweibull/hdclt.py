@@ -33,19 +33,16 @@ only; no Rademacher or two-point variants.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import centered_cov, max_elementwise_error
+from .covariance import _require_symmetric, centered_cov, max_elementwise_error
 from .orlicz import BoundConstants
 from .samplers import DataMatrix, RngStream, VectorLaw
 
 __all__ = [
-    "SampleSource",
-    "MaxStatSample",
     "BootstrapResult",
     "max_statistic",
     "data_max_sample",
@@ -55,46 +52,11 @@ __all__ = [
     "multiplier_draws",
     "multiplier_bootstrap",
     "bootstrap_error_bound",
-    "coverage_experiment",
 ]
 
 # Eigenvalues of a valid covariance may round slightly negative; below
 # this the matrix is treated as genuinely indefinite.
 _EIGENVALUE_SLACK = -1e-10
-
-
-class SampleSource(enum.Enum):
-    """Which process a max-statistic sample was drawn from."""
-
-    DATA = "data"
-    GAUSSIAN_ANALOG = "gaussian_analog"
-    BOOTSTRAP = "bootstrap"
-
-
-@dataclass(frozen=True, eq=False)
-class MaxStatSample:
-    """Replications of the max statistic, tagged with their origin."""
-
-    values: np.ndarray
-    n: int
-    q: int
-    source: SampleSource
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 1 or values.size == 0:
-            raise ValueError("values must be a nonempty 1-d array")
-        if not np.isfinite(values).all():
-            raise ValueError("values must be finite")
-        if self.n < 1 or self.q < 1:
-            raise ValueError("n and q must be at least 1")
-        if not isinstance(self.source, SampleSource):
-            raise TypeError("source must be a SampleSource")
-        object.__setattr__(self, "values", values)
-
-    @property
-    def size(self) -> int:
-        return int(self.values.size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,22 +89,12 @@ class BootstrapResult:
             raise ValueError("delta_star must be nonnegative")
 
 
-def _require_covariance(sigma: np.ndarray) -> np.ndarray:
-    sigma = np.asarray(sigma, dtype=float)
-    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1] or sigma.shape[0] < 1:
-        raise ValueError("covariance must be a square matrix")
-    scale = max(1.0, float(np.max(np.abs(sigma))))
-    if float(np.max(np.abs(sigma - sigma.T))) > 1e-12 * scale:
-        raise ValueError("covariance must be symmetric")
-    return (sigma + sigma.T) / 2.0
+def max_statistic(rows: np.ndarray, center) -> float:
+    """max over columns of (1/sqrt(n)) times the column sum of rows - center."""
+    return float(np.max((rows - center).sum(axis=0))) / math.sqrt(rows.shape[0])
 
 
-def max_statistic(w: DataMatrix) -> float:
-    """max over columns of (1/sqrt(n)) times the column sum."""
-    return float(np.max(w.values.sum(axis=0))) / math.sqrt(w.n)
-
-
-def data_max_sample(law: VectorLaw, n: int, reps: int, rng: RngStream) -> MaxStatSample:
+def data_max_sample(law: VectorLaw, n: int, reps: int, rng: RngStream) -> np.ndarray:
     """Replications of the max statistic of mean-centered rows from ``law``.
 
     Rows are centered at the law's population means, so the sample
@@ -155,25 +107,22 @@ def data_max_sample(law: VectorLaw, n: int, reps: int, rng: RngStream) -> MaxSta
         raise ValueError("reps must be at least 1")
     means = law.coordinate_means
     gen = rng.generator()
-    root_n = math.sqrt(n)
     values = np.empty(int(reps))
     for r in range(int(reps)):
-        rows = law.draw_rows(gen, int(n))
-        values[r] = float(np.max((rows - means).sum(axis=0))) / root_n
-    return MaxStatSample(values, int(n), law.dim, SampleSource.DATA)
+        values[r] = max_statistic(law.draw_rows(gen, int(n)), means)
+    return values
 
 
-def gaussian_analog_sample(sigma, n_eff: int, reps: int, rng: RngStream) -> MaxStatSample:
+def gaussian_analog_sample(sigma, reps: int, rng: RngStream) -> np.ndarray:
     """Max of a centered Gaussian vector with covariance ``sigma``, ``reps`` times.
 
-    Equal in law to the max statistic of n_eff iid Gaussian rows for any
-    n_eff, which is recorded as metadata only.  The factor comes from a
-    symmetric eigendecomposition with eigenvalues clipped at 0; anything
-    below -1e-10 means the input is not a covariance.
+    Equal in law to the max statistic of n iid Gaussian rows for any n.
+    The factor comes from a symmetric eigendecomposition with
+    eigenvalues clipped at 0; anything below -1e-10 means the input is
+    not a covariance.
     """
-    sigma = _require_covariance(sigma)
-    if n_eff < 1:
-        raise ValueError("n_eff must be at least 1")
+    sigma = _require_symmetric(sigma, "covariance")
+    sigma = (sigma + sigma.T) / 2.0
     if reps < 1:
         raise ValueError("reps must be at least 1")
     evals, evecs = np.linalg.eigh(sigma)
@@ -181,28 +130,38 @@ def gaussian_analog_sample(sigma, n_eff: int, reps: int, rng: RngStream) -> MaxS
         raise ValueError(f"covariance is indefinite: min eigenvalue {evals.min():.3e}")
     root = evecs * np.sqrt(np.clip(evals, 0.0, None))
     z = rng.generator().standard_normal((int(reps), sigma.shape[0]))
-    values = (z @ root.T).max(axis=1)
-    return MaxStatSample(values, int(n_eff), sigma.shape[0], SampleSource.GAUSSIAN_ANALOG)
+    return (z @ root.T).max(axis=1)
 
 
-def rho_rectangle_proxy(a: MaxStatSample, b: MaxStatSample, grid: int = 512) -> float:
+def _require_sample(values) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1 or values.size == 0:
+        raise ValueError("values must be a nonempty 1-d array")
+    if not np.isfinite(values).all():
+        raise ValueError("values must be finite")
+    return values
+
+
+def rho_rectangle_proxy(a, b, grid: int = 512) -> float:
     """Kolmogorov distance of two max-statistic samples over a threshold grid.
 
     Thresholds are the ``grid`` quantiles of the pooled sample; when
     grid reaches the pooled size the pooled points themselves are used
     and the value is the exact two-sample Kolmogorov distance.  Always a
     lower bound on the full rectangle-class distance (a proxy over the
-    one-sided max rectangles).
+    one-sided max rectangles).  ``a`` and ``b`` are nonempty 1-d
+    arrays of finite values.
     """
+    a, b = _require_sample(a), _require_sample(b)
     if grid < 2:
         raise ValueError("grid must be at least 2")
-    pooled = np.sort(np.concatenate([a.values, b.values]))
+    pooled = np.sort(np.concatenate([a, b]))
     if grid >= pooled.size:
         thresholds = pooled
     else:
         thresholds = np.quantile(pooled, np.linspace(0.0, 1.0, int(grid)))
-    f_a = np.searchsorted(np.sort(a.values), thresholds, side="right") / a.size
-    f_b = np.searchsorted(np.sort(b.values), thresholds, side="right") / b.size
+    f_a = np.searchsorted(np.sort(a), thresholds, side="right") / a.size
+    f_b = np.searchsorted(np.sort(b), thresholds, side="right") / b.size
     return float(np.max(np.abs(f_a - f_b)))
 
 
@@ -244,29 +203,25 @@ def hdclt_bound(l_nq, k_nq, n, q, beta, constants=None):
     return first + second, bool(lhs >= rhs)
 
 
-def _max_draws(centered: np.ndarray, draws: int, gen: np.random.Generator) -> np.ndarray:
-    # Multiplier maxima in blocks so draws x n never materializes at once.
-    n = centered.shape[0]
-    out = np.empty(draws)
-    block = max(1, 4_000_000 // n)
-    done = 0
-    while done < draws:
-        m = min(block, draws - done)
-        e = gen.standard_normal((m, n))
-        out[done : done + m] = (e @ centered).max(axis=1)
-        done += m
-    return out / math.sqrt(n)
-
-
-def multiplier_draws(w: DataMatrix, draws: int, rng: RngStream) -> MaxStatSample:
+def multiplier_draws(w: DataMatrix, draws: int, rng: RngStream) -> np.ndarray:
     """Draws of max_j (1/sqrt(n)) sum_i e_i (W_i - Wbar)(j), e_i iid N(0,1)."""
     if w.n < 2:
         raise ValueError("multiplier bootstrap needs at least 2 rows")
     if draws < 1:
         raise ValueError("draws must be at least 1")
     centered = w.values - w.values.mean(axis=0)
-    values = _max_draws(centered, int(draws), rng.generator())
-    return MaxStatSample(values, w.n, w.p, SampleSource.BOOTSTRAP)
+    gen = rng.generator()
+    draws = int(draws)
+    out = np.empty(draws)
+    # Multiplier maxima in blocks so draws x n never materializes at once.
+    block = max(1, 4_000_000 // w.n)
+    done = 0
+    while done < draws:
+        m = min(block, draws - done)
+        e = gen.standard_normal((m, w.n))
+        out[done : done + m] = (e @ centered).max(axis=1)
+        done += m
+    return out / math.sqrt(w.n)
 
 
 def multiplier_bootstrap(w: DataMatrix, draws: int, levels, rng: RngStream, sigma_ref=None) -> BootstrapResult:
@@ -282,7 +237,7 @@ def multiplier_bootstrap(w: DataMatrix, draws: int, levels, rng: RngStream, sigm
     if any(not 0.0 < level < 1.0 for level in levels):
         raise ValueError("levels must lie strictly inside (0, 1)")
     sample = multiplier_draws(w, draws, rng)
-    quantiles = {level: float(np.quantile(sample.values, level)) for level in sorted(set(levels))}
+    quantiles = {level: float(np.quantile(sample, level)) for level in sorted(set(levels))}
     sigma_star = centered_cov(w)
     delta_star = None if sigma_ref is None else max_elementwise_error(sigma_star, sigma_ref)
     return BootstrapResult(quantiles, int(draws), sigma_star, delta_star)
@@ -297,39 +252,3 @@ def bootstrap_error_bound(delta_star: float, p, c: float = 1.0) -> float:
     if not c > 0.0:
         raise ValueError("c must be positive")
     return c * delta_star ** (1.0 / 3.0) * math.log(p) ** (2.0 / 3.0)
-
-
-def coverage_experiment(law: VectorLaw, n: int, q: int, nominal: float, reps: int, draws: int, rng: RngStream):
-    """Coverage of the bootstrap nominal-level quantile over replications.
-
-    Each replication draws n rows, computes the max statistic of rows
-    centered at the population means, and checks it against the
-    bootstrap quantile from ``draws`` multiplier draws on the same data.
-    Ties count as covered, so a degenerate law (statistic and quantile
-    both 0) has coverage 1.  Returns ``(coverage, mc_se)`` with the
-    binomial standard error.  One generator is consumed in replication
-    order, rows before multipliers.
-    """
-    if law.dim != q:
-        raise ValueError(f"law has dimension {law.dim}, expected {q}")
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    if not 0.0 < nominal < 1.0:
-        raise ValueError("nominal must lie strictly inside (0, 1)")
-    if reps < 100:
-        raise ValueError("reps must be at least 100")
-    if draws < 1:
-        raise ValueError("draws must be at least 1")
-    means = law.coordinate_means
-    gen = rng.generator()
-    root_n = math.sqrt(n)
-    covered = 0
-    for _ in range(int(reps)):
-        rows = law.draw_rows(gen, int(n))
-        stat = float(np.max((rows - means).sum(axis=0))) / root_n
-        boot = _max_draws(rows - rows.mean(axis=0), int(draws), gen)
-        if stat <= float(np.quantile(boot, nominal)):
-            covered += 1
-    coverage = covered / int(reps)
-    mc_se = math.sqrt(coverage * (1.0 - coverage) / int(reps))
-    return coverage, mc_se

@@ -7,6 +7,7 @@ asserts the stated tolerance window.  Run with -s to see the lines.
 
 from __future__ import annotations
 
+import csv
 import math
 import time
 
@@ -330,14 +331,23 @@ def test_solver_matches_independent_oracle():
     assert elapsed < 60.0
 
 
-def test_bootstrap_coverage():
+def _bootstrap_coverage(law_lines, out_dir):
+    config = ex.parse_config(
+        "experiment = bootstrap\n" + law_lines
+        + f"n = 500\nnominal = 0.9\nreps = 1000\ndraws = 500\nseed = {SEED}\n"
+        + f"workers = 1\noutput_dir = {out_dir}\n")
+    ex.run(config)
+    with open(out_dir / "summary.csv", newline="") as handle:
+        row = next(csv.DictReader(handle))
+    return float(row["coverage"]), float(row["mc_se"])
+
+
+def test_bootstrap_coverage(tmp_path):
     t0 = time.perf_counter()
-    law = sp.IidCoordinates(sp.SymmetricWeibull(1.0), 100)
-    coverage, mc_se = hc.coverage_experiment(
-        law, 500, 100, 0.90, 1000, 500, sp.RngStream(SEED, 0))
-    gaussian_law = sp.IidCoordinates(sp.Gaussian(1.0), 1)
-    coverage1, mc_se1 = hc.coverage_experiment(
-        gaussian_law, 500, 1, 0.90, 1000, 500, sp.RngStream(SEED, 8))
+    coverage, mc_se = _bootstrap_coverage(
+        "law = weibull\nalpha = 1\nq = 100\n", tmp_path / "weibull")
+    coverage1, mc_se1 = _bootstrap_coverage(
+        "law = gaussian\nq = 1\n", tmp_path / "gaussian")
     elapsed = time.perf_counter() - t0
     dev1 = abs(coverage1 - 0.90)
     ok = (abs(coverage - 0.90) <= 0.04 and dev1 <= 4.0 * mc_se1
@@ -362,7 +372,7 @@ def test_max_statistic_gaussian_distance_trend():
         for run in range(20):
             base = 10_000_000 * ni + 8 * run
             data = hc.data_max_sample(law, n, 2000, sp.RngStream(SEED, base))
-            analog = hc.gaussian_analog_sample(sigma, n, 2000,
+            analog = hc.gaussian_analog_sample(sigma, 2000,
                                                sp.RngStream(SEED, base + 1))
             values.append(hc.rho_rectangle_proxy(data, analog, grid=4000))
         medians[n] = float(np.median(values))

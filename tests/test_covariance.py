@@ -46,6 +46,10 @@ def test_max_elementwise_error():
     # only the upper triangle is scanned
     perturbation = np.array([[0.0, 0.3], [-0.3, 0.0]])
     assert cv.max_elementwise_error(a, a - perturbation) == 0.3
+    lower_larger = np.array([[0.0, 0.1], [5.0, 0.0]])
+    assert cv.max_elementwise_error(a, a + lower_larger) == 0.1
+    lower_nan = np.array([[1.0, 0.2], [np.nan, 1.0]])
+    assert cv.max_elementwise_error(lower_nan, a) == 0.2
     with pytest.raises(ValueError):
         cv.max_elementwise_error(a, np.eye(3))
     with pytest.raises(ValueError):

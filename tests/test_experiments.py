@@ -188,6 +188,8 @@ def test_parse_config_reports_line_numbers():
 
 @pytest.mark.parametrize("text, fragment", [
     ("experiment = covariance\nalpha = 3\n", "alpha <= 2"),
+    ("experiment = covariance\ncentered = 1\nn = 1\n", "n >= 2"),
+    ("experiment = covariance\ncentered = 1\nn = 50, 1\n", "n >= 2"),
     ("experiment = rip\np = 4\nk = 5\n", "exceeds p"),
     ("experiment = rip\np = 60\nk = 6\n", "too many to enumerate"),
     ("experiment = re\np = 4\nk = 5\n", "exceeds p"),
@@ -203,6 +205,7 @@ def test_parse_config_reports_line_numbers():
     ("experiment = bootstrap\nn = 1\n", "n >= 2"),
     ("experiment = bootstrap\nnominal = 1.5\n", "nominal must lie in"),
     ("experiment = bootstrap\nnominal = 0\n", "nominal must lie in"),
+    ("experiment = bootstrap\ndraws = 0\n", "'draws' must be at least 1"),
 ])
 def test_parse_config_experiment_constraints(text, fragment):
     with pytest.raises(ex.ConfigError, match=fragment):
@@ -441,6 +444,28 @@ def test_run_bootstrap_summary_columns(tmp_path):
         float(row["coverage"]) * (1.0 - float(row["coverage"])) / 40.0
     )
     assert abs(float(row["mc_se"]) - expected_se) < 1e-15
+
+
+def test_run_bootstrap_q1_gaussian_matches_nominal(tmp_path):
+    text = ("experiment = bootstrap\nlaw = gaussian\nq = 1\nn = 500\n"
+            "nominal = 0.9\nreps = 200\ndraws = 400\nseed = 18\n")
+    manifest, out = _run(text, tmp_path)
+    row = _read_rows(out / "summary.csv")[0]
+    coverage, mc_se = float(row["coverage"]), float(row["mc_se"])
+    assert abs(coverage - 0.9) <= 4.0 * mc_se
+    assert mc_se == pytest.approx(
+        math.sqrt(coverage * (1.0 - coverage) / 200), rel=1e-12)
+
+
+def test_run_bootstrap_coverage_monotone_in_nominal(tmp_path):
+    # same seed, same streams: only the cutoff level differs
+    text = ("experiment = bootstrap\nlaw = gaussian\nq = 2\nn = 60\n"
+            "reps = 100\ndraws = 200\nseed = 19\n")
+    coverage = {}
+    for nominal in (0.5, 0.9):
+        _, out = _run(text + f"nominal = {nominal}\n", tmp_path, str(nominal))
+        coverage[nominal] = float(_read_rows(out / "summary.csv")[0]["coverage"])
+    assert coverage[0.9] >= coverage[0.5]
 
 
 def test_run_re_summary_columns(tmp_path):

@@ -7,10 +7,7 @@ from scipy import stats as sps
 from subweibull.covariance import centered_cov
 from subweibull.hdclt import (
     BootstrapResult,
-    MaxStatSample,
-    SampleSource,
     bootstrap_error_bound,
-    coverage_experiment,
     data_max_sample,
     gaussian_analog_sample,
     hdclt_bound,
@@ -39,41 +36,38 @@ def _matrix(values):
     return DataMatrix(n, p, values, IidCoordinates(Gaussian(1.0), p))
 
 
-def _sample(values):
-    return MaxStatSample(np.asarray(values, dtype=float), 1, 1, SampleSource.DATA)
-
-
 def test_max_statistic_examples():
-    assert max_statistic(_matrix([[3.0, -1.0]])) == 3.0
-    assert max_statistic(_matrix(np.zeros((4, 3)))) == 0.0
+    assert max_statistic(np.array([[3.0, -1.0]]), 0.0) == 3.0
+    assert max_statistic(np.zeros((4, 3)), 0.0) == 0.0
     gen = np.random.default_rng(0)
     values = gen.standard_normal((7, 5))
     permuted = values[:, [4, 2, 0, 1, 3]]
-    assert max_statistic(_matrix(values)) == max_statistic(_matrix(permuted))
+    assert max_statistic(values, 0.0) == max_statistic(permuted, 0.0)
     # definition check against a hand computation
-    w = _matrix([[1.0, 4.0], [3.0, -2.0]])
-    assert max_statistic(w) == pytest.approx(4.0 / math.sqrt(2.0), rel=1e-15)
+    rows = np.array([[1.0, 4.0], [3.0, -2.0]])
+    assert max_statistic(rows, 0.0) == pytest.approx(4.0 / math.sqrt(2.0), rel=1e-15)
+    # the center is subtracted per column before summing
+    assert max_statistic(rows, np.array([1.0, 3.0])) == pytest.approx(
+        2.0 / math.sqrt(2.0), rel=1e-15)
 
 
-def test_max_stat_sample_validation():
-    good = MaxStatSample(np.ones(3), 2, 5, SampleSource.BOOTSTRAP)
-    assert good.size == 3
+def test_rho_rectangle_proxy_validation():
+    assert rho_rectangle_proxy([1.0, 2.0], np.ones(3), grid=8) == 0.5
     with pytest.raises(ValueError, match="nonempty"):
-        MaxStatSample(np.ones(0), 1, 1, SampleSource.DATA)
+        rho_rectangle_proxy(np.ones(0), np.ones(3))
+    with pytest.raises(ValueError, match="1-d"):
+        rho_rectangle_proxy(np.ones(3), np.ones((3, 1)))
     with pytest.raises(ValueError, match="finite"):
-        MaxStatSample(np.array([1.0, np.nan]), 1, 1, SampleSource.DATA)
-    with pytest.raises(ValueError, match="at least 1"):
-        MaxStatSample(np.ones(3), 0, 1, SampleSource.DATA)
-    with pytest.raises(TypeError, match="SampleSource"):
-        MaxStatSample(np.ones(3), 1, 1, "data")
+        rho_rectangle_proxy(np.array([1.0, np.nan]), np.ones(3))
+    with pytest.raises(ValueError, match="finite"):
+        rho_rectangle_proxy(np.ones(3), np.array([np.inf]))
 
 
 def test_data_max_sample_centers_at_population_means():
     law = IdenticalCoordinates(Constant(5.0), 2)
     sample = data_max_sample(law, 10, 4, RngStream(1, 0))
-    assert np.all(sample.values == 0.0)
-    assert sample.source is SampleSource.DATA
-    assert (sample.n, sample.q) == (10, 2)
+    assert sample.shape == (4,)
+    assert np.all(sample == 0.0)
     with pytest.raises(ValueError, match="reps"):
         data_max_sample(law, 10, 0, RngStream(1, 0))
     with pytest.raises(ValueError, match="n must be"):
@@ -81,53 +75,52 @@ def test_data_max_sample_centers_at_population_means():
 
 
 def test_gaussian_analog_zero_matrix():
-    sample = gaussian_analog_sample(np.zeros((3, 3)), 7, 50, RngStream(2, 0))
-    assert np.all(sample.values == 0.0)
-    assert sample.source is SampleSource.GAUSSIAN_ANALOG
-    assert (sample.n, sample.q) == (7, 3)
+    sample = gaussian_analog_sample(np.zeros((3, 3)), 50, RngStream(2, 0))
+    assert sample.shape == (50,)
+    assert np.all(sample == 0.0)
 
 
 def test_gaussian_analog_standard_normal_collapse():
     reps = 200_000
-    sample = gaussian_analog_sample([[1.0]], 1, reps, RngStream(3, 0))
-    assert abs(float(sample.values.mean())) < 4.0 / math.sqrt(reps)
-    assert sps.kstest(sample.values, sps.norm.cdf).statistic < 0.01
+    sample = gaussian_analog_sample([[1.0]], reps, RngStream(3, 0))
+    assert abs(float(sample.mean())) < 4.0 / math.sqrt(reps)
+    assert sps.kstest(sample, sps.norm.cdf).statistic < 0.01
 
 
 def test_gaussian_analog_perfect_correlation_degeneracy():
     # rank-1 covariance: the max of two identical coordinates is the
     # single coordinate, so the q=2 law collapses to the q=1 law
     reps = 10**5
-    two = gaussian_analog_sample([[1.0, 1.0], [1.0, 1.0]], 1, reps, RngStream(11, 0))
-    one = gaussian_analog_sample([[1.0]], 1, reps, RngStream(11, 1))
+    two = gaussian_analog_sample([[1.0, 1.0], [1.0, 1.0]], reps, RngStream(11, 0))
+    one = gaussian_analog_sample([[1.0]], reps, RngStream(11, 1))
     assert rho_rectangle_proxy(two, one, grid=2 * reps) < 0.02
 
 
 def test_gaussian_analog_validation():
     rng = RngStream(4, 0)
     with pytest.raises(ValueError, match="symmetric"):
-        gaussian_analog_sample([[1.0, 0.5], [0.0, 1.0]], 1, 5, rng)
+        gaussian_analog_sample([[1.0, 0.5], [0.0, 1.0]], 5, rng)
     with pytest.raises(ValueError, match="indefinite"):
-        gaussian_analog_sample([[1.0, 0.0], [0.0, -1e-3]], 1, 5, rng)
+        gaussian_analog_sample([[1.0, 0.0], [0.0, -1e-3]], 5, rng)
     with pytest.raises(ValueError, match="square"):
-        gaussian_analog_sample(np.ones((2, 3)), 1, 5, rng)
-    with pytest.raises(ValueError, match="n_eff"):
-        gaussian_analog_sample([[1.0]], 0, 5, rng)
+        gaussian_analog_sample(np.ones((2, 3)), 5, rng)
+    with pytest.raises(ValueError, match="nonempty"):
+        gaussian_analog_sample(np.zeros((0, 0)), 5, rng)
     with pytest.raises(ValueError, match="reps"):
-        gaussian_analog_sample([[1.0]], 1, 0, rng)
+        gaussian_analog_sample([[1.0]], 0, rng)
     # roundoff-negative eigenvalue inside the slack is clipped, not refused
-    tiny = gaussian_analog_sample([[-1e-12]], 1, 5, rng)
-    assert np.all(tiny.values == 0.0)
+    tiny = gaussian_analog_sample([[-1e-12]], 5, rng)
+    assert np.all(tiny == 0.0)
 
 
 def test_rho_identical_sample_is_zero():
-    sample = gaussian_analog_sample(np.eye(2), 1, 500, RngStream(5, 0))
+    sample = gaussian_analog_sample(np.eye(2), 500, RngStream(5, 0))
     assert rho_rectangle_proxy(sample, sample, grid=64) == 0.0
 
 
 def test_rho_disjoint_supports_is_one_at_full_grid():
-    lo = _sample(np.linspace(0.0, 1.0, 400))
-    hi = _sample(np.linspace(5.0, 6.0, 400))
+    lo = np.linspace(0.0, 1.0, 400)
+    hi = np.linspace(5.0, 6.0, 400)
     assert rho_rectangle_proxy(lo, hi, grid=800) == 1.0
 
 
@@ -135,25 +128,25 @@ def test_rho_matches_two_sample_kolmogorov_oracle():
     gen = np.random.default_rng(5)
     for _ in range(6):
         na, nb = gen.integers(50, 3000, size=2)
-        a = _sample(gen.standard_normal(na))
-        b = _sample(gen.standard_normal(nb) * 1.3 + 0.2)
+        a = gen.standard_normal(na)
+        b = gen.standard_normal(nb) * 1.3 + 0.2
         mine = rho_rectangle_proxy(a, b, grid=int(na + nb))
-        oracle = sps.ks_2samp(a.values, b.values, method="asymp").statistic
+        oracle = sps.ks_2samp(a, b, method="asymp").statistic
         assert mine == pytest.approx(oracle, abs=1e-12)
 
 
 def test_rho_same_law_independent_samples_small():
     # DKW at 1e5 draws per sample: 2 sqrt(log(2/0.001) / (2e5)) = 0.0123
     reps = 10**5
-    a = gaussian_analog_sample(np.eye(5), 1, reps, RngStream(12, 0))
-    b = gaussian_analog_sample(np.eye(5), 1, reps, RngStream(12, 1))
+    a = gaussian_analog_sample(np.eye(5), reps, RngStream(12, 0))
+    b = gaussian_analog_sample(np.eye(5), reps, RngStream(12, 1))
     assert rho_rectangle_proxy(a, b, grid=2 * reps) < 0.015
 
 
 def test_rho_coarse_grid_is_a_lower_bound():
     gen = np.random.default_rng(9)
-    a = _sample(gen.standard_normal(800))
-    b = _sample(gen.standard_normal(700) + 0.3)
+    a = gen.standard_normal(800)
+    b = gen.standard_normal(700) + 0.3
     exact = rho_rectangle_proxy(a, b, grid=1500)
     for grid in (2, 16, 128):
         assert rho_rectangle_proxy(a, b, grid=grid) <= exact + 1e-15
@@ -219,8 +212,7 @@ def test_multiplier_identical_rows_give_zero():
     result = multiplier_bootstrap(w, 200, [0.5, 0.9], RngStream(6, 0))
     assert result.quantiles == {0.5: 0.0, 0.9: 0.0}
     draws = multiplier_draws(w, 200, RngStream(6, 1))
-    assert np.all(draws.values == 0.0)
-    assert draws.source is SampleSource.BOOTSTRAP
+    assert np.all(draws == 0.0)
 
 
 def test_multiplier_q1_conditional_gaussian_quantile():
@@ -260,7 +252,7 @@ def test_bootstrap_matches_gaussian_analog_conditionally():
     w = draw_matrix(IidCoordinates(SymmetricWeibull(1.0), 3), 50, RngStream(14, 0))
     reps = 10**5
     boot = multiplier_draws(w, reps, RngStream(14, 1))
-    analog = gaussian_analog_sample(centered_cov(w), 50, reps, RngStream(14, 2))
+    analog = gaussian_analog_sample(centered_cov(w), reps, RngStream(14, 2))
     assert rho_rectangle_proxy(boot, analog, grid=2 * reps) < 0.02
 
 
@@ -307,40 +299,6 @@ def test_bootstrap_error_bound_examples():
         bootstrap_error_bound(1.0, 5, c=0.0)
 
 
-def test_coverage_degenerate_law_is_fully_covered():
-    law = IdenticalCoordinates(Constant(1.0), 3)
-    assert coverage_experiment(law, 50, 3, 0.9, 100, 50, RngStream(17, 0)) == (1.0, 0.0)
-
-
-def test_coverage_q1_gaussian_matches_nominal():
-    law = IidCoordinates(Gaussian(1.0), 1)
-    coverage, mc_se = coverage_experiment(law, 500, 1, 0.9, 200, 400, RngStream(18, 0))
-    assert abs(coverage - 0.9) <= 4.0 * mc_se
-    assert mc_se == pytest.approx(math.sqrt(coverage * (1.0 - coverage) / 200), rel=1e-12)
-
-
-def test_coverage_monotone_in_nominal_level():
-    law = IidCoordinates(Gaussian(1.0), 2)
-    lo, _ = coverage_experiment(law, 60, 2, 0.5, 100, 200, RngStream(19, 0))
-    hi, _ = coverage_experiment(law, 60, 2, 0.9, 100, 200, RngStream(19, 0))
-    assert hi >= lo
-
-
-def test_coverage_validation():
-    law = IidCoordinates(Gaussian(1.0), 2)
-    rng = RngStream(8, 0)
-    with pytest.raises(ValueError, match="dimension"):
-        coverage_experiment(law, 50, 3, 0.9, 100, 50, rng)
-    with pytest.raises(ValueError, match="reps"):
-        coverage_experiment(law, 50, 2, 0.9, 99, 50, rng)
-    with pytest.raises(ValueError, match="nominal"):
-        coverage_experiment(law, 50, 2, 1.0, 100, 50, rng)
-    with pytest.raises(ValueError, match="n must be"):
-        coverage_experiment(law, 1, 2, 0.9, 100, 50, rng)
-    with pytest.raises(ValueError, match="draws"):
-        coverage_experiment(law, 50, 2, 0.9, 100, 0, rng)
-
-
 def test_rho_shrinks_with_sample_size():
     # skewed coordinates (shape-1 Weibull = exponential, centered) keep
     # the Gaussian distance far above the Monte Carlo floor at small n
@@ -351,7 +309,7 @@ def test_rho_shrinks_with_sample_size():
         values = []
         for run in range(5):
             data = data_max_sample(law, n, 800, RngStream(77, 1000 * n + 2 * run))
-            analog = gaussian_analog_sample(sigma, n, 800, RngStream(77, 1000 * n + 2 * run + 1))
+            analog = gaussian_analog_sample(sigma, 800, RngStream(77, 1000 * n + 2 * run + 1))
             values.append(rho_rectangle_proxy(data, analog, grid=1600))
         medians[n] = float(np.median(values))
     assert medians[640] < medians[40]
