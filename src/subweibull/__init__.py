@@ -32,23 +32,16 @@ from .tailbounds import (
     weighted_sum_bound,
 )
 from .samplers import (
-    Constant,
     DataMatrix,
     Exponential,
     Gaussian,
-    GaussianCopula,
-    IdenticalCoordinates,
     IidCoordinates,
-    LinearMap,
     Pareto,
     RegressionData,
     RngStream,
-    StudentT,
     SymmetricWeibull,
     draw_matrix,
-    draw_scalar,
     make_regression,
-    population_beta0,
 )
 from .covariance import (
     QuarterNet,

@@ -184,7 +184,7 @@ class RunManifest:
     files: tuple
 
 
-def _parse_number(key: str, raw: str, lineno: int) -> float:
+def _parse_float(key: str, raw: str, lineno: int) -> float:
     try:
         return float(raw)
     except ValueError:
@@ -193,12 +193,22 @@ def _parse_number(key: str, raw: str, lineno: int) -> float:
         ) from None
 
 
+def _parse_number(key: str, raw: str, lineno: int) -> float:
+    """raw as a finite float; nan and +-inf are rejected."""
+    value = _parse_float(key, raw, lineno)
+    if not math.isfinite(value):
+        raise ConfigError(
+            f"line {lineno}: value for '{key}' must be finite, got {raw!r}"
+        )
+    return value
+
+
 def _parse_integral(key: str, raw: str, lineno: int) -> Optional[int]:
     """raw as an exact integer; None for a number that is not one."""
     try:
         return int(raw)
     except ValueError:
-        _parse_number(key, raw, lineno)
+        _parse_float(key, raw, lineno)
         return None
 
 
@@ -587,7 +597,9 @@ def _re_task(config, point, rep, stream):
         )
         xi = xi_bound(params)
     else:
-        xi = lambda_min / config.options["xi_divisor"]
+        # below n = p the gram matrix is singular and eigvalsh may return
+        # a lambda_min just under 0; the deviation xi stays nonnegative
+        xi = max(lambda_min, 0.0) / config.options["xi_divisor"]
     report = re_check(sigma, xi, k)
     row = {
         "lambda_min": lambda_min,
@@ -693,7 +705,8 @@ def _lasso_task(config, point, rep, stream):
             f"(alpha={alpha}, k={k}, n={n}, rep={rep}, lam={lam:.6g})"
         )
     sigma = gram(data.x)
-    xi = float(np.linalg.eigvalsh(sigma)[0]) / config.options["xi_divisor"]
+    lambda_min = float(np.linalg.eigvalsh(sigma)[0])
+    xi = max(lambda_min, 0.0) / config.options["xi_divisor"]
     report = re_check(sigma, xi, k)
     error_limit = math.nan
     if applicable and report.satisfied:
@@ -800,6 +813,11 @@ def _clt_summary(config, points, nested):
         })
     _attach_slope(out, "n", ("q", "n"), "median_rho")
     return out
+
+
+def _clt_validate(config):
+    if config.options["rho_grid"] == 1:
+        raise ConfigError("clt: rho_grid must be 0 (exact pooled grid) or at least 2")
 
 
 # ---------------------------------------------------------------------------
@@ -1012,6 +1030,7 @@ _register(Experiment(
     ),
     task=_clt_task,
     summarize=_clt_summary,
+    validate=_clt_validate,
     plots=(
         PlotSpec("summary", "n", "median_rho", True),
         PlotSpec("summary", "q", "median_rho", False),

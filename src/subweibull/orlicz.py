@@ -348,6 +348,16 @@ def eval_inverse(spec: OrliczSpec, t: float) -> float:
 # ---------------------------------------------------------------------------
 # Empirical norms.
 
+def _abs_sample(sample) -> np.ndarray:
+    """|sample| as a flat float array, checked nonempty and finite."""
+    x = np.abs(np.asarray(sample, dtype=float).ravel())
+    if x.size == 0:
+        raise ValueError("sample must be nonempty")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("sample must be finite")
+    return x
+
+
 def empirical_norm(sample, spec: OrliczSpec, tol: float = 1e-6) -> NormEstimate:
     """Orlicz norm of the empirical distribution of ``sample``.
 
@@ -376,11 +386,7 @@ def empirical_norm(sample, spec: OrliczSpec, tol: float = 1e-6) -> NormEstimate:
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    x = np.abs(np.asarray(sample, dtype=float).ravel())
-    if x.size == 0:
-        raise ValueError("sample must be nonempty")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("sample must be finite")
+    x = _abs_sample(sample)
     m = x.size
     xmax = float(x.max())
     if xmax == 0.0:
@@ -436,6 +442,23 @@ def _grid_moment_norms(x: np.ndarray, r_grid: np.ndarray) -> np.ndarray:
     return out
 
 
+def _moment_sup(sample, alpha, r_max, grid_step, ratio) -> float:
+    """max over r = 1, 1 + grid_step, ..., <= r_max of ratio(r, log moment norm).
+
+    ``ratio`` maps the r grid and the log moment norms of |sample| to
+    the normalised values whose maximum is returned; an all-zero
+    sample gives 0.0.
+    """
+    _check_alpha(alpha)
+    if r_max < 1 or grid_step <= 0:
+        raise ValueError("need r_max >= 1 and grid_step > 0")
+    x = _abs_sample(sample)
+    if float(x.max()) == 0.0:
+        return 0.0
+    r_grid = np.arange(1.0, r_max + 1e-12, grid_step)
+    return float(np.max(ratio(r_grid, _grid_moment_norms(x, r_grid))))
+
+
 def moment_growth_norm(
     sample,
     alpha: float,
@@ -449,19 +472,10 @@ def moment_growth_norm(
     true supremum over r >= 1.  It is equivalent to the psi_alpha norm
     up to absolute constants depending only on alpha.
     """
-    _check_alpha(alpha)
-    if r_max < 1 or grid_step <= 0:
-        raise ValueError("need r_max >= 1 and grid_step > 0")
-    x = np.abs(np.asarray(sample, dtype=float).ravel())
-    if x.size == 0:
-        raise ValueError("sample must be nonempty")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("sample must be finite")
-    if float(x.max()) == 0.0:
-        return 0.0
-    r_grid = np.arange(1.0, r_max + 1e-12, grid_step)
-    log_norms = _grid_moment_norms(x, r_grid)
-    return float(np.max(np.exp(log_norms - np.log(r_grid) / alpha)))
+    def ratio(r, log_norms):
+        return np.exp(log_norms - np.log(r) / alpha)
+
+    return _moment_sup(sample, alpha, r_max, grid_step, ratio)
 
 
 def gbo_moment_norm(
@@ -477,22 +491,12 @@ def gbo_moment_norm(
     the moment-space twin of the two-regime norm and is bracketed by it
     via the moment sandwich constants.
     """
-    _check_alpha(alpha)
     if scale_l < 0:
         raise ValueError("scale_l must be nonnegative")
-    if r_max < 1 or grid_step <= 0:
-        raise ValueError("need r_max >= 1 and grid_step > 0")
-    x = np.abs(np.asarray(sample, dtype=float).ravel())
-    if x.size == 0:
-        raise ValueError("sample must be nonempty")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("sample must be finite")
-    if float(x.max()) == 0.0:
-        return 0.0
-    r_grid = np.arange(1.0, r_max + 1e-12, grid_step)
-    log_norms = _grid_moment_norms(x, r_grid)
-    denom = np.sqrt(r_grid) + scale_l * r_grid ** (1.0 / alpha)
-    return float(np.max(np.exp(log_norms) / denom))
+    def ratio(r, log_norms):
+        return np.exp(log_norms) / (np.sqrt(r) + scale_l * r ** (1.0 / alpha))
+
+    return _moment_sup(sample, alpha, r_max, grid_step, ratio)
 
 
 # ---------------------------------------------------------------------------

@@ -110,6 +110,16 @@ def test_run_rip_large_p_fits_in_memory(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats takes most of a run's start-up time; no module needs it
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    code = ("import subweibull, subweibull.cli, sys; "
+            "assert 'scipy.stats' not in sys.modules")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
 def test_version_flag():
     with pytest.raises(SystemExit) as exit_info:
         cli.main(["--version"])

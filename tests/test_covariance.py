@@ -347,20 +347,20 @@ def test_re_verdicts_never_falsified():
 
 
 def test_delta_star_decomposition():
-    # centered error <= gram-at-true-mean error + ||mean drift||_inf^2
-    laws = [
-        sp.IidCoordinates(sp.SymmetricWeibull(1.0), 4),
-        sp.LinearMap(np.array([[1.0, 0.0], [1.0, 1.0]]), sp.SymmetricWeibull(1.0)),
-        sp.IdenticalCoordinates(sp.Gaussian(1.0), 3),
+    # centered error <= gram-at-true-mean error + ||mean drift||_inf^2,
+    # on iid rows and on two dependent designs: z F^T and a repeated column
+    factor = np.array([[1.0, 0.0], [1.0, 1.0]])
+    cases = [
+        (lambda gen: sp.SymmetricWeibull(1.0).sample(gen, (80, 4)),
+         np.diag(np.full(4, 2.0))),
+        (lambda gen: sp.SymmetricWeibull(1.0).sample(gen, (80, 2)) @ factor.T,
+         2.0 * factor @ factor.T),
+        (lambda gen: np.repeat(sp.Gaussian(1.0).sample(gen, (80, 1)), 3, axis=1),
+         np.ones((3, 3))),
     ]
-    targets = [
-        np.diag(np.full(4, 2.0)),
-        2.0 * np.array([[1.0, 1.0], [1.0, 2.0]]),
-        np.ones((3, 3)),
-    ]
-    for i, (law, sigma_star) in enumerate(zip(laws, targets)):
+    for i, (draw, sigma_star) in enumerate(cases):
         for rep in range(10):
-            x = sp.draw_matrix(law, 80, sp.RngStream(29, 10 * i + rep))
+            x = _matrix(draw(sp.RngStream(29, 10 * i + rep).generator()))
             lhs = cv.max_elementwise_error(cv.centered_cov(x), sigma_star)
             drift = float(np.max(np.abs(x.values.mean(axis=0))))
             rhs = cv.max_elementwise_error(cv.gram(x), sigma_star) + drift**2

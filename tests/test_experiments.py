@@ -158,6 +158,10 @@ def test_parse_config_option_types():
     ("experiment = covariance\ncentered = yes\n", "must be 0 or 1"),
     ("experiment = lasso\nnoise = cauchy\n", "must be one of"),
     ("experiment = norms\noutput_dir =\n", "must not be empty"),
+    ("experiment = clt\nlaw = weibull\nalpha = nan\n", "must be finite"),
+    ("experiment = lasso\nbeta_scale = inf\n", "must be finite"),
+    ("experiment = covariance\nc_alpha_thm32 = nan\n", "must be finite"),
+    ("experiment = norms\nalpha = inf\n", "must be finite"),
 ])
 def test_parse_config_rejects(text, fragment):
     with pytest.raises(ex.ConfigError, match=fragment):
@@ -206,6 +210,7 @@ def test_parse_config_reports_line_numbers():
     ("experiment = bootstrap\nnominal = 1.5\n", "nominal must lie in"),
     ("experiment = bootstrap\nnominal = 0\n", "nominal must lie in"),
     ("experiment = bootstrap\ndraws = 0\n", "'draws' must be at least 1"),
+    ("experiment = clt\nrho_grid = 1\n", "rho_grid must be 0"),
 ])
 def test_parse_config_experiment_constraints(text, fragment):
     with pytest.raises(ex.ConfigError, match=fragment):
@@ -479,6 +484,24 @@ def test_run_re_summary_columns(tmp_path):
             assert float(row["margin"]) >= -1e-12
     summary = _read_rows(out / "summary.csv")
     assert int(summary[0]["satisfied_count"]) <= 4
+
+
+def test_run_re_below_n_equals_p(tmp_path):
+    # n < p: the gram matrix is singular and eigvalsh can report a
+    # lambda_min just below 0; xi is formed from max(lambda_min, 0)
+    manifest, out = _run("experiment = re\np = 8\nk = 2\nn = 4\n", tmp_path)
+    rows = _read_rows(out / "results.csv")
+    assert len(rows) == 50
+    assert any(float(row["lambda_min"]) < 0.0 for row in rows)
+    assert all(float(row["xi"]) >= 0.0 for row in rows)
+    assert all(row["satisfied"] == "0" for row in rows)
+
+
+def test_run_lasso_below_n_equals_p(tmp_path):
+    manifest, out = _run("experiment = lasso\np = 20\nn = 10\n", tmp_path)
+    rows = _read_rows(out / "results.csv")
+    assert len(rows) == 30
+    assert all(row["re_satisfied"] == "0" for row in rows)
 
 
 def test_run_plot_uses_first_values_of_other_axes(tmp_path):

@@ -18,14 +18,13 @@ from subweibull.hdclt import (
 )
 from subweibull.orlicz import BoundConstants
 from subweibull.samplers import (
-    Constant,
     DataMatrix,
     Exponential,
     Gaussian,
-    IdenticalCoordinates,
     IidCoordinates,
     RngStream,
     SymmetricWeibull,
+    VectorLaw,
     draw_matrix,
 )
 
@@ -63,8 +62,18 @@ def test_rho_rectangle_proxy_validation():
         rho_rectangle_proxy(np.ones(3), np.array([np.inf]))
 
 
+class _ConstantRows(VectorLaw):
+    """Every row is (5, 5): population means equal every draw."""
+
+    dim = 2
+    coordinate_means = np.full(2, 5.0)
+
+    def draw_rows(self, gen, n):
+        return np.full((n, 2), 5.0)
+
+
 def test_data_max_sample_centers_at_population_means():
-    law = IdenticalCoordinates(Constant(5.0), 2)
+    law = _ConstantRows()
     sample = data_max_sample(law, 10, 4, RngStream(1, 0))
     assert sample.shape == (4,)
     assert np.all(sample == 0.0)
