@@ -65,8 +65,9 @@ _SUPPORT_CAP = 200_000
 _EIG_CHUNK = 20_000
 
 # rip_net evaluates chunks of supports whose (supports, mesh, k)
-# intermediate holds about this many floats (8 MB).
-_NET_CHUNK_VALUES = 1 << 20
+# intermediate, and cone_min_oracle draws blocks of trials whose (t, p)
+# directions, hold about this many floats (8 MB).
+_BLOCK_VALUES = 1 << 20
 
 # Mesh schedule for the per-sphere 1/4-nets: points on the circle, then
 # band half-widths for each recursion level.  Radii compose as
@@ -337,7 +338,7 @@ def rip_net(d: np.ndarray, k: int, net: QuarterNet) -> RipResult:
     if float(np.max(np.abs(np.linalg.norm(mesh, axis=1) - 1.0))) > 1e-9:
         raise ValueError("net vectors must be unit")
     value = 0.0
-    chunk = max(1, _NET_CHUNK_VALUES // mesh.size)
+    chunk = max(1, _BLOCK_VALUES // mesh.size)
     for blocks in _support_blocks(d, supports, chunk):
         quad = np.einsum("mi,cij,mj->cm", mesh, blocks, mesh, optimize=True)
         value = max(value, float(np.max(np.abs(quad))))
@@ -433,13 +434,30 @@ def rsc_lower(theta: np.ndarray, lambda_min: float, xi: float, k: int) -> float:
     return (lambda_min - 27.0 * xi) * l2sq - (54.0 * xi / k) * l1**2
 
 
+def _cone_directions(gen, p, support, off, delta, t):
+    """(t, p) block of directions in the cone ||theta(S^c)||_1 <= delta
+    ||theta(S)||_1: unit normals on S, and off S a signed Dirichlet
+    split of delta ||theta(S)||_1 scaled by a uniform."""
+    head = gen.standard_normal((t, support.size))
+    head /= np.linalg.norm(head, axis=1, keepdims=True)
+    theta = np.zeros((t, p))
+    theta[:, support] = head
+    if off.size:
+        mass = delta * np.sum(np.abs(head), axis=1) * gen.random(t)
+        weights = gen.dirichlet(np.ones(off.size), size=t)
+        signs = gen.integers(0, 2, size=(t, off.size)) * 2.0 - 1.0
+        theta[:, off] = mass[:, None] * weights * signs
+    return theta
+
+
 def cone_min_oracle(sigma_hat, s, delta, trials, rng: RngStream) -> float:
     """Randomized upper bound on the cone-restricted Rayleigh minimum.
 
     Draws directions in the cone ||theta(S^c)||_1 <= delta ||theta(S)||_1
     (sphere on the support, signed Dirichlet mass off it, scaled by a
-    uniform) and returns the smallest theta' Sigma theta / theta' theta.
-    Used to falsify restricted eigenvalue verdicts, never to certify.
+    uniform) in blocks of about 2^20 floats and returns the smallest
+    theta' Sigma theta / theta' theta.  Used to falsify restricted
+    eigenvalue verdicts, never to certify.
     """
     sigma_hat = _require_symmetric(sigma_hat, "sigma_hat")
     p = sigma_hat.shape[0]
@@ -454,17 +472,13 @@ def cone_min_oracle(sigma_hat, s, delta, trials, rng: RngStream) -> float:
         raise ValueError("trials must be positive")
     off = np.setdiff1d(np.arange(p), support)
     gen = rng.generator()
+    block = max(1, _BLOCK_VALUES // p)
+    trials = int(trials)
     best = math.inf
-    for _ in range(int(trials)):
-        theta = np.zeros(p)
-        head = gen.standard_normal(support.size)
-        head /= np.linalg.norm(head)
-        theta[support] = head
-        if off.size:
-            mass = delta * float(np.sum(np.abs(head))) * gen.random()
-            weights = gen.dirichlet(np.ones(off.size))
-            signs = gen.integers(0, 2, size=off.size) * 2.0 - 1.0
-            theta[off] = mass * weights * signs
-        ratio = float(theta @ sigma_hat @ theta) / float(theta @ theta)
-        best = min(best, ratio)
+    for start in range(0, trials, block):
+        theta = _cone_directions(gen, p, support, off, delta,
+                                 min(block, trials - start))
+        quad = np.einsum("ij,ij->i", theta @ sigma_hat, theta)
+        ratios = quad / np.einsum("ij,ij->i", theta, theta)
+        best = min(best, float(np.min(ratios)))
     return best

@@ -107,6 +107,9 @@ _GRID_STRIDE = 1_000_003
 _BLOCK = 8
 
 _INT_GRID_KEYS = frozenset({"n", "p", "k", "q"})
+# Lowest Weibull order, for grids and options alike: below about 0.012
+# gamma(1 + 2 / alpha) overflows a float.
+_ALPHA_FLOOR = 0.05
 _COMMENT = re.compile(r"(?:^|\s)#")
 _CONSTANT_FIELDS = tuple(f.name for f in dataclasses.fields(BoundConstants))
 _SCHEMA_VERSION = 1
@@ -238,6 +241,11 @@ def _parse_grid(key: str, raw: str, lineno: int) -> tuple:
             if not value > 0.0:
                 raise ConfigError(
                     f"line {lineno}: grid '{key}' needs positive values, got {tok!r}"
+                )
+            if key == "alpha" and value < _ALPHA_FLOOR:
+                raise ConfigError(
+                    f"line {lineno}: grid 'alpha' values must be at least "
+                    f"{_ALPHA_FLOOR}, got {tok!r}"
                 )
         values.append(value)
     return tuple(values)
@@ -765,6 +773,8 @@ def _lasso_validate(config):
                 "lasso: pareto noise has no stretched-exponential norm; "
                 "use theory_poly or empirical"
             )
+    if noise == "gaussian" and not config.options["sigma"] > 0.0:
+        raise ConfigError("lasso: gaussian noise needs sigma > 0")
     if rule == "theory_poly" and noise != "pareto":
         raise ConfigError("lasso: theory_poly expects the pareto noise model")
 
@@ -882,7 +892,7 @@ def _choice(name, default, choices):
 
 _LAW_OPTIONS = (
     _choice("law", "exponential", ("exponential", "weibull", "gaussian")),
-    _flt("alpha", 1.0, minimum=0.05),
+    _flt("alpha", 1.0, minimum=_ALPHA_FLOOR),
 )
 
 REGISTRY = {}
@@ -1044,7 +1054,7 @@ _register(Experiment(
     grid_defaults={"q": (20,), "n": (100, 400), "__reps__": 200},
     options=(
         _choice("law", "weibull", ("exponential", "weibull", "gaussian")),
-        _flt("alpha", 1.0, minimum=0.05),
+        _flt("alpha", 1.0, minimum=_ALPHA_FLOOR),
         _flt("nominal", 0.9, minimum=0.0),
         _integer("draws", 300),
     ),

@@ -105,7 +105,8 @@ def solve(problem: LassoProblem, lam: float, tol: float = 1e-8,
 
     Converged when the largest coordinate update in a sweep falls below
     tol * (1 + ||theta||_inf) and the KKT residual is at most 10 tol;
-    hitting max_iter returns the fit with converged = False.
+    hitting max_iter returns the fit with converged = False.  The result
+    does not depend on the memory layout of the design.
     """
     if not lam > 0.0:
         raise ValueError("lam must be positive")
@@ -113,7 +114,7 @@ def solve(problem: LassoProblem, lam: float, tol: float = 1e-8,
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
-    x, y = problem.x.values, problem.y
+    x, y = np.ascontiguousarray(problem.x.values), problem.y
     n, p = problem.x.n, problem.x.p
     beta = np.zeros(p)
     # KKT certificate at zero, computed with the canonical matmul form so
@@ -121,7 +122,10 @@ def solve(problem: LassoProblem, lam: float, tol: float = 1e-8,
     if float(np.max(np.abs(x.T @ y / n))) <= lam:
         return LassoFit(beta, float(lam), 0, True, 0.0,
                         np.asarray([_objective(x, y, lam, beta)]))
-    column_scale = np.einsum("ij,ij->j", x, x) / n
+    column_scale = (np.einsum("ij,ij->j", x, x) / n).tolist()
+    # rows of the transposed column-major copy: each column contiguous
+    columns = np.asfortranarray(x).T
+    coef = [0.0] * p
     residual = y.copy()
     history = [_objective(x, y, lam, beta)]
     converged = False
@@ -130,15 +134,23 @@ def solve(problem: LassoProblem, lam: float, tol: float = 1e-8,
     for sweeps in range(1, max_iter + 1):
         max_update = 0.0
         for j in range(p):
-            if column_scale[j] == 0.0:
+            scale = column_scale[j]
+            if scale == 0.0:
                 continue
-            old = beta[j]
-            rho = (x[:, j] @ residual) / n + column_scale[j] * old
-            new = soft_threshold(rho, lam) / column_scale[j]
+            old = coef[j]
+            rho = float(columns[j] @ residual) / n + scale * old
+            # soft_threshold(rho, lam) / scale, signed zeros included
+            if rho > lam:
+                new = (rho - lam) / scale
+            elif rho < -lam:
+                new = (rho + lam) / scale
+            else:
+                new = 0.0 if rho >= 0.0 else -0.0
             if new != old:
-                residual += x[:, j] * (old - new)
-                beta[j] = new
+                residual += columns[j] * (old - new)
+                coef[j] = new
                 max_update = max(max_update, abs(new - old))
+        beta = np.asarray(coef)
         history.append(_objective(x, y, lam, beta))
         if max_update < tol * (1.0 + float(np.max(np.abs(beta)))):
             kkt = _kkt_residual(x, y, beta, lam, n)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import os
 import resource
 import subprocess
@@ -89,25 +90,42 @@ def test_run_rejects_bad_flag_values(tmp_path, capsys):
     assert "--workers" in err and "--seed" in err
 
 
-def _cap_address_space():
-    # 3 GiB: a dense net for this config (63 GiB) fails fast with MemoryError
-    # instead of drawing the kernel's out-of-memory killer
-    resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+def _run_capped(cfg, out, cap_bytes):
+    """Run a config in a subprocess whose address space is capped, so an
+    oversized allocation fails fast with MemoryError instead of drawing
+    the kernel's out-of-memory killer."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    return subprocess.run(
+        [sys.executable, "-m", "subweibull.cli", "run", cfg, "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=300,
+        preexec_fn=lambda: resource.setrlimit(
+            resource.RLIMIT_AS, (cap_bytes, cap_bytes)),
+    )
 
 
 def test_run_rip_large_p_fits_in_memory(tmp_path):
+    # a dense net for this config would take 63 GiB
     cfg = _write_config(
         tmp_path, "experiment = rip\np = 100\nk = 3\nn = 400\nreps = 1\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]),
-               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    done = subprocess.run(
-        [sys.executable, "-m", "subweibull.cli", "run", cfg,
-         "--out", str(tmp_path / "out")],
-        env=env, preexec_fn=_cap_address_space, capture_output=True,
-        text=True, timeout=300,
-    )
+    done = _run_capped(cfg, tmp_path / "out", 3 << 30)
     assert done.returncode == 0, done.stderr
+
+
+def test_run_re_many_cone_trials_fits_in_memory(tmp_path):
+    # one (trials, p) draw would hold several 300 MB arrays; the cone
+    # search draws blocks of about 2^20 floats instead
+    cfg = _write_config(
+        tmp_path, "experiment = re\np = 200\nk = 3\nn = 400\nreps = 1\n"
+        "cone_trials = 200000\n"
+    )
+    done = _run_capped(cfg, tmp_path / "out", 1 << 30)
+    assert done.returncode == 0, done.stderr
+    with open(tmp_path / "out" / "results.csv", newline="") as handle:
+        (row,) = csv.DictReader(handle)
+    # the verdict holds, so the cone search ran
+    assert row["satisfied"] == "1" and float(row["margin"]) >= 0.0
 
 
 def test_import_does_not_load_scipy_stats():

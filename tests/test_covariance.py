@@ -323,12 +323,37 @@ def test_cone_min_oracle():
         np.eye(4), [0, 1], 3.0, 50, sp.RngStream(3, 1)
     ) == pytest.approx(1.0, rel=1e-12)
     # diag(1, 0) with S = {0}: cone floor is 1/(1 + delta^2) = 0.1
-    value = cv.cone_min_oracle(np.diag([1.0, 0.0]), [0], 3.0, 2000, sp.RngStream(3, 0))
-    assert 0.1 <= value <= 0.12
+    # 2000 trials fit one block; at p = 2 a block holds 2^19 trials, so
+    # the larger count spans four, the last one partial
+    for trials in (2000, 3 * (cv._BLOCK_VALUES // 2) + 7):
+        value = cv.cone_min_oracle(np.diag([1.0, 0.0]), [0], 3.0, trials,
+                                   sp.RngStream(3, 0))
+        assert 0.1 <= value <= 0.12
+        assert value == cv.cone_min_oracle(np.diag([1.0, 0.0]), [0], 3.0,
+                                           trials, sp.RngStream(3, 0))
     with pytest.raises(ValueError):
         cv.cone_min_oracle(np.eye(2), [], 3.0, 10, sp.RngStream(0, 0))
     with pytest.raises(ValueError):
         cv.cone_min_oracle(np.eye(2), [0], 0.5, 10, sp.RngStream(0, 0))
+
+
+def test_cone_directions_lie_in_cone():
+    gen = sp.RngStream(5, 0).generator()
+    p, delta = 12, 3.0
+    support = np.array([1, 4, 7])
+    off = np.setdiff1d(np.arange(p), support)
+    theta = cv._cone_directions(gen, p, support, off, delta, 500)
+    assert theta.shape == (500, p)
+    head, tail = theta[:, support], theta[:, off]
+    np.testing.assert_allclose(np.linalg.norm(head, axis=1), 1.0, rtol=1e-14)
+    head_l1 = np.sum(np.abs(head), axis=1)
+    assert np.all(np.sum(np.abs(tail), axis=1) <= delta * head_l1 * (1.0 + 1e-14))
+    # every sign occurs off the support, and the mass is not degenerate
+    assert np.any(tail > 0.0) and np.any(tail < 0.0)
+    assert np.all(np.sum(np.abs(tail), axis=1) > 0.0)
+    # the support alone: no mass off it
+    theta = cv._cone_directions(gen, 3, np.arange(3), np.arange(0), delta, 4)
+    np.testing.assert_allclose(np.linalg.norm(theta, axis=1), 1.0, rtol=1e-14)
 
 
 def test_re_verdicts_never_falsified():

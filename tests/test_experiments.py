@@ -211,6 +211,11 @@ def test_parse_config_reports_line_numbers():
     ("experiment = bootstrap\nnominal = 0\n", "nominal must lie in"),
     ("experiment = bootstrap\ndraws = 0\n", "'draws' must be at least 1"),
     ("experiment = clt\nrho_grid = 1\n", "rho_grid must be 0"),
+    ("experiment = lasso\nsigma = 0\n", "needs sigma > 0"),
+    ("experiment = tailcheck\nalpha = 0.01\n", "at least 0.05"),
+    ("experiment = covariance\nalpha = 1, 0.01\n", "at least 0.05"),
+    ("experiment = re\nalpha = 0.049\n", "at least 0.05"),
+    ("experiment = lasso\nalpha = 0.01\n", "at least 0.05"),
 ])
 def test_parse_config_experiment_constraints(text, fragment):
     with pytest.raises(ex.ConfigError, match=fragment):

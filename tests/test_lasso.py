@@ -94,6 +94,45 @@ def test_kkt_certificate_and_monotonicity():
         assert fit.objective_values[-1] <= fit.objective_values[0]
 
 
+def _layout_pair(x, y):
+    law = sp.IidCoordinates(sp.Gaussian(1.0), x.shape[1])
+    n, p = x.shape
+    return [ls.LassoProblem(sp.DataMatrix(n, p, values, law), y)
+            for values in (np.ascontiguousarray(x), np.asfortranarray(x))]
+
+
+def test_solve_layout_independent():
+    gen = np.random.default_rng(4)
+    x = gen.standard_normal((200, 30))
+    y = x[:, :3] @ np.array([1.5, -2.0, 0.5]) + gen.standard_normal(200)
+    zero_column = x.copy()
+    zero_column[:, 5] = 0.0
+    # column 2 is orthogonal to y and to the other columns, so its rho
+    # is exactly 0 on every sweep
+    orthogonal = np.array([[1.0, 0.0, 1.0], [1.0, 0.0, -1.0],
+                           [0.0, 1.0, 0.0], [0.0, -1.0, 0.0]])
+    cases = [(x, y, 0.1), (zero_column, y, 0.1),
+             (orthogonal, np.array([2.0, 2.0, 1.0, -1.0]), 0.25)]
+    for design, response, lam in cases:
+        c_fit, f_fit = (ls.solve(problem, lam)
+                        for problem in _layout_pair(design, response))
+        assert c_fit.converged
+        assert np.array_equal(c_fit.beta, f_fit.beta)
+        assert np.array_equal(np.signbit(c_fit.beta), np.signbit(f_fit.beta))
+        assert c_fit.iterations == f_fit.iterations
+        assert c_fit.kkt_residual == f_fit.kkt_residual
+        assert np.array_equal(c_fit.objective_values, f_fit.objective_values)
+    fit = ls.solve(_layout_pair(zero_column, y)[0], 0.1)
+    assert fit.beta[5] == 0.0 and not np.signbit(fit.beta[5])
+    fit = ls.solve(_layout_pair(cases[2][0], cases[2][1])[1], 0.25)
+    # soft_threshold(0, lam) is +0.0; the first two coefficients are
+    # the closed-form single-column fits
+    assert fit.beta[2] == 0.0
+    assert np.signbit(fit.beta[2]) == np.signbit(ls.soft_threshold(0.0, 0.25))
+    assert fit.beta[0] == ls.soft_threshold(1.0, 0.25) / 0.5
+    assert fit.beta[1] == ls.soft_threshold(0.5, 0.25) / 0.5
+
+
 def test_max_iter_exceeded():
     problem, _ = _problem(1)
     fit = ls.solve(problem, 1e-6, tol=1e-14, max_iter=2)
