@@ -44,9 +44,9 @@ def main() -> None:
     x = draw_matrix(law, 500, RngStream(23, 9000))
     deviation = gram(x) - target
     for k in (1, 2, 3):
-        exact = rip_exact(deviation, k).value
+        exact = rip_exact(deviation, k)
         net = quarter_net(k, 20)
-        certified = rip_net(deviation, k, net).value
+        certified = rip_net(deviation, k, net)
         print(f"  k={k} exact={exact:.4f} net={certified:.4f} "
               f"exact <= 2 net: {exact <= 2.0 * certified}")
 

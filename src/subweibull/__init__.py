@@ -1,9 +1,10 @@
 """Tail-aware concentration tools for heavy-tailed high-dimensional data.
 
-Orlicz norm machinery for stretched-exponential tails, closed-form
-deviation thresholds, covariance and restricted-isometry diagnostics,
-penalised regression with theory-driven penalties, and Gaussian
-approximation plus multiplier bootstrap for max statistics.
+Orlicz norm machinery for stretched-exponential tails, a closed-form
+deviation threshold for maxima of averages, covariance and
+restricted-isometry diagnostics, penalised regression with
+theory-driven penalties, and Gaussian approximation plus multiplier
+bootstrap for max statistics.
 """
 
 __version__ = "0.1.0"
@@ -17,20 +18,8 @@ from .orlicz import (
     eval_function,
     eval_inverse,
     gbo_moment_norm,
-    gbo_tail_threshold,
-    maximal_threshold,
-    moment_growth_norm,
 )
-from .tailbounds import (
-    SumBoundReport,
-    TailCurve,
-    bernstein_subexp_tail,
-    kernel_deviation_threshold,
-    max_average_threshold,
-    product_norm,
-    variance_sum_bound,
-    weighted_sum_bound,
-)
+from .tailbounds import max_average_threshold
 from .samplers import (
     DataMatrix,
     Exponential,
@@ -46,45 +35,35 @@ from .samplers import (
 from .covariance import (
     QuarterNet,
     ReReport,
-    RipResult,
     RsConvexityParams,
     centered_cov,
     cone_min_oracle,
     delta_bound,
     gram,
-    hard_threshold,
     max_elementwise_error,
     quarter_net,
     re_check,
     rip_exact,
     rip_net,
-    rsc_lower,
-    upsilon_estimate,
     upsilon_iid,
     xi_bound,
 )
 from .lasso import (
     EmpiricalOracle,
-    FixedLambda,
     LassoFit,
     LassoProblem,
     TheoryPoly,
     TheorySubWeibull,
     cone_membership,
-    error_bound_subweibull,
     lambda_theory_poly,
     lambda_theory_subweibull,
-    oracle_inequality_bound,
     solve,
 )
 from .hdclt import (
-    BootstrapResult,
-    bootstrap_error_bound,
     data_max_sample,
     gaussian_analog_sample,
     hdclt_bound,
     max_statistic,
-    multiplier_bootstrap,
     multiplier_draws,
     rho_rectangle_proxy,
 )

@@ -25,7 +25,6 @@ search is included to falsify (never certify) those verdicts.
 
 from __future__ import annotations
 
-import enum
 import itertools
 import math
 from dataclasses import dataclass
@@ -36,8 +35,6 @@ from .orlicz import BoundConstants
 from .samplers import DataMatrix, RngStream
 
 __all__ = [
-    "RipMethod",
-    "RipResult",
     "QuarterNet",
     "ReReport",
     "RsConvexityParams",
@@ -45,15 +42,12 @@ __all__ = [
     "centered_cov",
     "max_elementwise_error",
     "delta_bound",
-    "hard_threshold",
     "rip_exact",
     "quarter_net",
     "rip_net",
-    "upsilon_estimate",
     "upsilon_iid",
     "xi_bound",
     "re_check",
-    "rsc_lower",
     "cone_min_oracle",
 ]
 
@@ -90,30 +84,6 @@ def _require_symmetric(matrix: np.ndarray, name: str = "matrix") -> np.ndarray:
     return matrix
 
 
-class RipMethod(enum.Enum):
-    EXACT = "exact"
-    QUARTER_NET = "quarter_net"
-
-
-@dataclass(frozen=True)
-class RipResult:
-    """Sparse spectral error value with its provenance.
-
-    An EXACT value is the true RIP_n(k).  A QUARTER_NET value v
-    certifies RIP_n(k) <= 2 v.
-    """
-
-    value: float
-    k: int
-    method: RipMethod
-    supports_evaluated: int
-    net_size: int = 0
-
-    def __post_init__(self) -> None:
-        if self.value < 0.0:
-            raise ValueError("value must be nonnegative")
-
-
 @dataclass(frozen=True, eq=False)
 class QuarterNet:
     """1/4-net of the k-sparse unit sphere in R^p, kept as a product.
@@ -127,10 +97,6 @@ class QuarterNet:
     supports: np.ndarray
     vectors: np.ndarray
     k: int
-
-    @property
-    def supports_evaluated(self) -> int:
-        return self.supports.shape[0]
 
     def __len__(self) -> int:
         return self.supports.shape[0] * self.vectors.shape[0]
@@ -237,14 +203,6 @@ def delta_bound(a_np, k_np, n, p, alpha, t, constants=None, centered=False):
     return threshold, min(1.0, prob)
 
 
-def hard_threshold(matrix: np.ndarray, lam: float) -> np.ndarray:
-    """Zero all entries with |value| < lam (universal hard thresholding)."""
-    matrix = _require_symmetric(matrix)
-    if lam < 0.0:
-        raise ValueError("lam must be nonnegative")
-    return np.where(np.abs(matrix) < lam, 0.0, matrix)
-
-
 # ---------------------------------------------------------------------------
 # sparse spectral error
 
@@ -269,8 +227,8 @@ def _support_blocks(d: np.ndarray, supports: np.ndarray, chunk: int):
         yield d[idx[:, :, None], idx[:, None, :]]
 
 
-def rip_exact(d: np.ndarray, k: int) -> RipResult:
-    """Exact k-sparse spectral error by support enumeration.
+def rip_exact(d: np.ndarray, k: int) -> float:
+    """Exact k-sparse spectral error RIP_n(k) by support enumeration.
 
     The sup over ||theta||_0 <= k is attained on a support of size
     exactly k (spectral norms of nested principal submatrices are
@@ -281,7 +239,7 @@ def rip_exact(d: np.ndarray, k: int) -> RipResult:
     best = 0.0
     for blocks in _support_blocks(d, supports, _EIG_CHUNK):
         best = max(best, float(np.max(np.abs(np.linalg.eigvalsh(blocks)))))
-    return RipResult(best, k, RipMethod.EXACT, supports_evaluated=len(supports))
+    return best
 
 
 def _sphere_net(k: int) -> np.ndarray:
@@ -324,7 +282,7 @@ def quarter_net(k: int, p: int) -> QuarterNet:
     return QuarterNet(_supports(p, k), _sphere_net(k), k)
 
 
-def rip_net(d: np.ndarray, k: int, net: QuarterNet) -> RipResult:
+def rip_net(d: np.ndarray, k: int, net: QuarterNet) -> float:
     """Net maximum of |theta' D theta|, evaluated on the blocks D[S, S];
     the true RIP_n(k) is at most twice the returned value."""
     d = _require_symmetric(d)
@@ -342,24 +300,7 @@ def rip_net(d: np.ndarray, k: int, net: QuarterNet) -> RipResult:
     for blocks in _support_blocks(d, supports, chunk):
         quad = np.einsum("mi,cij,mj->cm", mesh, blocks, mesh, optimize=True)
         value = max(value, float(np.max(np.abs(quad))))
-    return RipResult(
-        value, k, RipMethod.QUARTER_NET,
-        supports_evaluated=net.supports_evaluated, net_size=len(net),
-    )
-
-
-def upsilon_estimate(x: DataMatrix, k: int, net: QuarterNet) -> float:
-    """Net lower approximation of the sparse projection variance proxy:
-    max over net theta of the empirical variance of (x_i' theta)^2."""
-    if len(net) == 0:
-        raise ValueError("net must be nonempty")
-    if net.k != k:
-        raise ValueError("net was built for a different k")
-    best = 0.0
-    for support in net.supports:
-        projections = x.values[:, support] @ net.vectors.T
-        best = max(best, float(np.max(np.var(projections**2, axis=0))))
-    return best
+    return value
 
 
 def upsilon_iid(m2: float, m4: float, k: int) -> float:
@@ -382,11 +323,11 @@ def upsilon_iid(m2: float, m4: float, k: int) -> float:
 # restricted eigenvalue verification
 
 
-def xi_bound(params: RsConvexityParams, joint: bool = False) -> float:
+def xi_bound(params: RsConvexityParams) -> float:
     """Deviation level xi of the restricted strong convexity bound.
 
-    The marginal form carries an extra factor k on the polynomial term;
-    the joint form (``joint=True``) drops it.
+    This is the marginal form, whose polynomial term carries an extra
+    factor k.
     """
     n, p, k = params.n, params.p, params.k
     ratio = 36.0 * n * p / k
@@ -396,11 +337,10 @@ def xi_bound(params: RsConvexityParams, joint: bool = False) -> float:
         raise ValueError("k must not exceed p")
     log_ratio = math.log(ratio)
     first = 14.0 * math.sqrt(2.0) * math.sqrt(params.upsilon * k * log_ratio / n)
-    weight = 1.0 if joint else float(k)
     second = (
         params.c_alpha
         * params.k_np**2
-        * weight
+        * k
         * math.log(2.0 * n) ** (2.0 / params.alpha)
         * (k * log_ratio) ** (2.0 / params.alpha)
         / n
@@ -420,18 +360,6 @@ def re_check(sigma: np.ndarray, xi: float, k: int) -> ReReport:
     satisfied = lambda_min >= 1782.0 * xi
     gamma_n = lambda_min / 2.0 if satisfied else 0.0
     return ReReport(lambda_min, float(xi), satisfied, gamma_n, int(k))
-
-
-def rsc_lower(theta: np.ndarray, lambda_min: float, xi: float, k: int) -> float:
-    """Certified lower bound on theta' Sigma_hat theta at deviation xi."""
-    if k < 1:
-        raise ValueError("k must be positive")
-    if xi < 0.0:
-        raise ValueError("xi must be nonnegative")
-    theta = np.asarray(theta, dtype=float)
-    l2sq = float(theta @ theta)
-    l1 = float(np.sum(np.abs(theta)))
-    return (lambda_min - 27.0 * xi) * l2sq - (54.0 * xi / k) * l1**2
 
 
 def _cone_directions(gen, p, support, off, delta, t):

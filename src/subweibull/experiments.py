@@ -112,7 +112,7 @@ _INT_GRID_KEYS = frozenset({"n", "p", "k", "q"})
 _ALPHA_FLOOR = 0.05
 _COMMENT = re.compile(r"(?:^|\s)#")
 _CONSTANT_FIELDS = tuple(f.name for f in dataclasses.fields(BoundConstants))
-_SCHEMA_VERSION = 1
+_SCHEMA_VERSION = 2
 _SLACK = 1e-12
 
 
@@ -131,7 +131,7 @@ class OptionSpec:
     """One scalar option: name, parser kind, default, constraints."""
 
     name: str
-    kind: str  # int | float | str | choice | flag
+    kind: str  # int | float | choice | flag
     default: object
     choices: tuple = ()
     minimum: Optional[float] = None
@@ -252,8 +252,6 @@ def _parse_grid(key: str, raw: str, lineno: int) -> tuple:
 
 
 def _parse_option(spec: OptionSpec, raw: str, lineno: int):
-    if spec.kind == "str":
-        return raw
     if spec.kind == "choice":
         if raw not in spec.choices:
             raise ConfigError(
@@ -547,10 +545,10 @@ def _rip_task(config, point, rep, stream):
     law = IidCoordinates(SymmetricWeibull(alpha), p)
     x = draw_matrix(law, n, stream)
     deviation = gram(x) - np.diag(law.coordinate_variances)
-    exact = rip_exact(deviation, k).value
+    exact = rip_exact(deviation, k)
     row = {"exact_value": exact, "net_value": math.nan, "certified": math.nan}
     if k <= 3:
-        net_value = rip_net(deviation, k, quarter_net(k, p)).value
+        net_value = rip_net(deviation, k, quarter_net(k, p))
         if exact > 2.0 * net_value + _SLACK:
             raise InvariantViolation(
                 "net certificate failed: quarter net gave "

@@ -21,72 +21,39 @@ from :class:`~subweibull.orlicz.BoundConstants` (slots ``k1_clt``,
 and the condition degenerates, so ``condition_ok`` is True by
 convention there; the bound itself is 0.
 
-The multiplier bootstrap replaces the rows by standard normal weighted
-centered rows.  Conditional on the data the bootstrap statistic is the
-max of a Gaussian vector with the centered sample covariance, which is
-what ``gaussian_analog_sample`` draws from directly; the two paths
-agree in law and the tests hold them to that.  Quantiles use linear
-interpolation (numpy's default, the type-7 rule) for reproducibility
-across implementations.  Bootstrap multipliers are standard normal
-only; no Rademacher or two-point variants.
+The multiplier bootstrap (``multiplier_draws``) replaces the rows by
+standard normal weighted centered rows.  Conditional on the data the
+bootstrap statistic is the max of a Gaussian vector with the centered
+sample covariance, which is what ``gaussian_analog_sample`` draws from
+directly; the two paths agree in law and the tests hold them to that.
+Bootstrap quantiles are ``np.quantile`` of the draws, whose default
+linear interpolation (the type-7 rule) is reproducible across
+implementations.  Bootstrap multipliers are standard normal only; no
+Rademacher or two-point variants.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import _require_symmetric, centered_cov, max_elementwise_error
+from .covariance import _require_symmetric
 from .orlicz import BoundConstants
 from .samplers import DataMatrix, RngStream, VectorLaw
 
 __all__ = [
-    "BootstrapResult",
     "max_statistic",
     "data_max_sample",
     "gaussian_analog_sample",
     "rho_rectangle_proxy",
     "hdclt_bound",
     "multiplier_draws",
-    "multiplier_bootstrap",
-    "bootstrap_error_bound",
 ]
 
 # Eigenvalues of a valid covariance may round slightly negative; below
 # this the matrix is treated as genuinely indefinite.
 _EIGENVALUE_SLACK = -1e-10
-
-
-@dataclass(frozen=True, eq=False)
-class BootstrapResult:
-    """Bootstrap quantiles plus the conditional covariance they came from.
-
-    ``delta_star`` is the elementwise error of that covariance against a
-    caller-supplied reference, or None when no reference was given.
-    """
-
-    quantiles: dict[float, float]
-    draws: int
-    sigma_star: np.ndarray
-    delta_star: float | None = None
-
-    def __post_init__(self) -> None:
-        if not self.quantiles:
-            raise ValueError("at least one quantile level is required")
-        levels = sorted(self.quantiles)
-        if levels[0] <= 0.0 or levels[-1] >= 1.0:
-            raise ValueError("levels must lie strictly inside (0, 1)")
-        ordered = [self.quantiles[level] for level in levels]
-        if not np.isfinite(ordered).all():
-            raise ValueError("quantiles must be finite")
-        if any(lo > hi for lo, hi in zip(ordered, ordered[1:])):
-            raise ValueError("quantiles must be nondecreasing in level")
-        if self.draws < 1:
-            raise ValueError("draws must be at least 1")
-        if self.delta_star is not None and not self.delta_star >= 0.0:
-            raise ValueError("delta_star must be nonnegative")
 
 
 def max_statistic(rows: np.ndarray, center) -> float:
@@ -222,33 +189,3 @@ def multiplier_draws(w: DataMatrix, draws: int, rng: RngStream) -> np.ndarray:
         out[done : done + m] = (e @ centered).max(axis=1)
         done += m
     return out / math.sqrt(w.n)
-
-
-def multiplier_bootstrap(w: DataMatrix, draws: int, levels, rng: RngStream, sigma_ref=None) -> BootstrapResult:
-    """Multiplier bootstrap quantiles of the max statistic.
-
-    ``levels`` are the requested quantile levels in (0, 1), interpolated
-    by the type-7 rule.  When ``sigma_ref`` is given, ``delta_star`` is
-    the elementwise error of the centered sample covariance against it.
-    """
-    levels = [float(level) for level in levels]
-    if not levels:
-        raise ValueError("at least one quantile level is required")
-    if any(not 0.0 < level < 1.0 for level in levels):
-        raise ValueError("levels must lie strictly inside (0, 1)")
-    sample = multiplier_draws(w, draws, rng)
-    quantiles = {level: float(np.quantile(sample, level)) for level in sorted(set(levels))}
-    sigma_star = centered_cov(w)
-    delta_star = None if sigma_ref is None else max_elementwise_error(sigma_star, sigma_ref)
-    return BootstrapResult(quantiles, int(draws), sigma_star, delta_star)
-
-
-def bootstrap_error_bound(delta_star: float, p, c: float = 1.0) -> float:
-    """Bootstrap approximation error bound c delta_star^(1/3) log^(2/3) p."""
-    if not delta_star >= 0.0:
-        raise ValueError("delta_star must be nonnegative")
-    if not p >= 2:
-        raise ValueError("p must be at least 2")
-    if not c > 0.0:
-        raise ValueError("c must be positive")
-    return c * delta_star ** (1.0 / 3.0) * math.log(p) ** (2.0 / 3.0)

@@ -6,9 +6,8 @@ the KKT subgradient conditions.  Penalty policies cover the two
 deviation regimes for max_j |X_j' eps| / n: stretched-exponential
 products (first term sqrt(log(np)/n), second term polynomial in logs
 over n) and polynomial-tailed noise (denominator n^{1 - 1/r} for noise
-with r finite moments).  The module also evaluates the closed-form
-estimation error bound, the sparse oracle inequality, and the cone
-inequality used as a per-replication invariant by the experiments.
+with r finite moments).  The module also evaluates the cone inequality
+used as a per-replication invariant by the experiments.
 
 Columns are not standardized implicitly: the theory penalties presume
 normalized covariates, so harness code standardizes explicitly where a
@@ -19,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -29,7 +28,6 @@ from .samplers import DataMatrix
 __all__ = [
     "LassoProblem",
     "LassoFit",
-    "FixedLambda",
     "TheorySubWeibull",
     "TheoryPoly",
     "EmpiricalOracle",
@@ -37,8 +35,6 @@ __all__ = [
     "solve",
     "lambda_theory_subweibull",
     "lambda_theory_poly",
-    "error_bound_subweibull",
-    "oracle_inequality_bound",
     "cone_membership",
 ]
 
@@ -230,20 +226,6 @@ def lambda_theory_poly(sigma_np, k_np, k_eps_r, n, p, alpha, r, big_l,
 
 
 @dataclass(frozen=True)
-class FixedLambda:
-    """Penalty fixed by the caller."""
-
-    lam: float
-
-    def __post_init__(self) -> None:
-        if not self.lam > 0.0:
-            raise ValueError("lam must be positive")
-
-    def resolve(self, problem: LassoProblem) -> float:
-        return float(self.lam)
-
-
-@dataclass(frozen=True)
 class TheorySubWeibull:
     """Theory penalty for stretched-exponential products."""
 
@@ -292,70 +274,7 @@ class EmpiricalOracle:
 
 
 # ---------------------------------------------------------------------------
-# theoretical error evaluators
-
-
-def error_bound_subweibull(sigma_np, k_np, n, p, k, gamma, lambda_min,
-                           constants: Optional[BoundConstants] = None) -> float:
-    """Closed-form l2 error bound for the theory penalty under a
-    restricted eigenvalue lambda_min."""
-    if not lambda_min > 0.0:
-        raise ValueError("lambda_min must be positive")
-    if n < 2 or p < 1 or k < 1:
-        raise ValueError("n, p, k must be positive (n at least 2)")
-    if sigma_np < 0.0 or k_np < 0.0:
-        raise ValueError("scale parameters must be nonnegative")
-    if not gamma > 0.0:
-        raise ValueError("gamma must be positive")
-    constants = constants or BoundConstants()
-    log_np = math.log(n * p)
-    inner = sigma_np * math.sqrt(k * log_np / n) + (
-        constants.c_gamma_lasso * k_np**2 * math.sqrt(k) * log_np ** (2.0 / gamma) / n
-    )
-    return 84.0 * math.sqrt(2.0) / lambda_min * inner
-
-
-def oracle_inequality_bound(candidates, lam, xi_of_size: Callable[[int], float],
-                            lambda_min, beta0):
-    """Best sparse oracle bound over candidate supports.
-
-    For each candidate S with curvature margin
-    Gamma = lambda_min - 1755 xi(|S|) > 0 the bound is
-    18 lam^2 |S| / Gamma^2 + 8 lam ||beta0(S^c)||_1 / Gamma
-    + 3456 xi ||beta0(S^c)||_1^2 / (|S| Gamma); candidates with
-    nonpositive margin are skipped.  Ties break to the smallest
-    support, then lexicographically.
-    """
-    if not lam > 0.0:
-        raise ValueError("lam must be positive")
-    beta0 = np.asarray(beta0, dtype=float)
-    candidate_list = [tuple(sorted(set(int(i) for i in s))) for s in candidates]
-    if not candidate_list:
-        raise ValueError("candidate list must not be empty")
-    best = None
-    for support in candidate_list:
-        if not support:
-            raise ValueError("candidate sets must be nonempty")
-        if support[0] < 0 or support[-1] >= beta0.shape[0]:
-            raise ValueError("candidate indices out of range")
-        size = len(support)
-        xi = float(xi_of_size(size))
-        margin = lambda_min - 1755.0 * xi
-        if margin <= 0.0:
-            continue
-        off = np.delete(beta0, support)
-        tail = float(np.sum(np.abs(off)))
-        value = (
-            18.0 * lam**2 * size / margin**2
-            + 8.0 * lam * tail / margin
-            + 3456.0 * xi * tail**2 / (size * margin)
-        )
-        key = (value, size, support)
-        if best is None or key < best:
-            best = key
-    if best is None:
-        raise ValueError("no candidate has a positive curvature margin")
-    return best[0], best[2]
+# cone inequality
 
 
 def cone_membership(nu, s, beta0) -> bool:

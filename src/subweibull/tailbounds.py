@@ -1,192 +1,25 @@
-"""Explicit finite-sample bounds for sums of heavy-tailed variables.
+"""Explicit finite-sample deviation threshold for maxima of averages.
 
-Every operation here evaluates a closed-form threshold or norm bound for
-independent sums; nothing is estimated.  Three bound families are
-covered:
+`max_average_threshold` evaluates a closed-form uniform deviation
+threshold for the maximum of q coordinate averages of independent
+heavy-tailed vectors, paired with a 3 exp(-t) probability bound;
+nothing is estimated.
 
-* two-regime norm bounds for weighted sums (`weighted_sum_bound`) and
-  variance-scaled sums (`variance_sum_bound`), each reporting the bound
-  together with the second-regime scale L that makes it a valid
-  two-regime norm statement;
-* uniform deviation thresholds for maxima of coordinate averages
-  (`max_average_threshold`) and localizing kernel-weighted averages
-  (`kernel_deviation_threshold`), each paired with a 3 exp(-t)
-  probability bound;
-* the classical sub-exponential Bernstein tail (`bernstein_subexp_tail`)
-  as a reference point.
-
-The theorems behind these formulas prove the existence of
-alpha-dependent constants without pinning values; those enter through
-:class:`subweibull.orlicz.BoundConstants` (all default 1.0) and are
-echoed in reports so results are reproducible under any configuration.
-Probability bounds are clamped to [0, 1]; thresholds are reported
-unclamped.
+The theorem behind the formula proves the existence of an
+alpha-dependent constant without pinning its value; it enters through
+``c_alpha_thm34`` of :class:`subweibull.orlicz.BoundConstants` (default
+1.0), which the runner echoes into every table so results are
+reproducible under any configuration.  The probability bound is
+clamped to [0, 1]; the threshold is reported unclamped.
 """
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass
 
-import numpy as np
+from .orlicz import BoundConstants
 
-from .orlicz import BoundConstants, weighted_sum_constant
-
-__all__ = [
-    "BoundSource",
-    "SumBoundReport",
-    "TailCurve",
-    "weighted_sum_bound",
-    "variance_sum_bound",
-    "max_average_threshold",
-    "product_norm",
-    "kernel_deviation_threshold",
-    "bernstein_subexp_tail",
-]
-
-
-class BoundSource(enum.Enum):
-    WEIGHTED_SUM = "weighted_sum"
-    VARIANCE_SMALL_ALPHA = "variance_small_alpha"
-    VARIANCE_LARGE_ALPHA = "variance_large_alpha"
-
-
-@dataclass(frozen=True)
-class SumBoundReport:
-    """A two-regime norm bound on a sum, with its accompanying scale.
-
-    ``gbo_norm_bound`` bounds the norm of the sum in the two-regime
-    family of order ``effective_alpha`` and second-regime scale
-    ``l_param``.  The variance route reports order 1 regardless of the
-    summands' order once alpha exceeds 1.
-    """
-
-    gbo_norm_bound: float
-    l_param: float
-    effective_alpha: float
-    source: BoundSource
-    degenerate: bool = False
-
-    def __post_init__(self) -> None:
-        if self.gbo_norm_bound < 0 or self.l_param < 0:
-            raise ValueError("bound and l_param must be nonnegative")
-        if self.source is BoundSource.VARIANCE_LARGE_ALPHA and self.effective_alpha != 1.0:
-            raise ValueError("variance bound for alpha > 1 is an order-1 statement")
-
-
-@dataclass(frozen=True)
-class TailCurve:
-    """A threshold/probability curve over a grid of tail levels."""
-
-    t_values: tuple[float, ...]
-    thresholds: tuple[float, ...]
-    prob_bounds: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if not (len(self.t_values) == len(self.thresholds) == len(self.prob_bounds)):
-            raise ValueError("curve sequences must have matching lengths")
-        if any(t < 0 for t in self.t_values):
-            raise ValueError("t_values must be nonnegative")
-        if any(p < 0 or p > 1 for p in self.prob_bounds):
-            raise ValueError("prob_bounds must lie in [0, 1]")
-        order = np.argsort(self.t_values)
-        thr = np.asarray(self.thresholds)[order]
-        prob = np.asarray(self.prob_bounds)[order]
-        if np.any(np.diff(thr) < -1e-12) or np.any(np.diff(prob) > 1e-12):
-            raise ValueError("thresholds must be nondecreasing and prob_bounds nonincreasing in t")
-
-
-def weighted_sum_bound(weights, psi_norms, alpha: float) -> SumBoundReport:
-    """Two-regime norm bound for sum_i a_i X_i from the summands' psi_alpha norms.
-
-    With b_i = a_i * ||X_i||_psi_alpha, the sum has two-regime norm at
-    most 2e C(alpha) ||b||_2 at scale
-
-        L = 4^(1/alpha) / (sqrt(2) ||b||_2) * ||b||_inf          (alpha < 1)
-        L = 4^(1/alpha) * 4e ||b||_beta / (sqrt(2) C(alpha) ||b||_2)   (alpha >= 1)
-
-    where beta is the Hoelder conjugate of alpha (the max norm at
-    alpha = 1).  All-zero b degenerates to a zero report.
-    """
-    a = np.asarray(weights, dtype=float).ravel()
-    norms = np.asarray(psi_norms, dtype=float).ravel()
-    if a.size != norms.size:
-        raise ValueError("weights and psi_norms must have equal lengths")
-    if a.size == 0:
-        raise ValueError("need at least one summand")
-    if np.any(norms < 0):
-        raise ValueError("psi_norms must be nonnegative")
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
-
-    b = np.abs(a) * norms
-    b2 = float(np.linalg.norm(b))
-    if b2 == 0.0:
-        return SumBoundReport(0.0, 0.0, alpha, BoundSource.WEIGHTED_SUM, degenerate=True)
-
-    c_alpha = weighted_sum_constant(alpha)
-    bound = 2.0 * math.e * c_alpha * b2
-    lead = 4.0 ** (1.0 / alpha) / (math.sqrt(2.0) * b2)
-    if alpha < 1.0:
-        l_param = lead * float(np.max(b))
-    else:
-        if alpha == 1.0:
-            b_conj = float(np.max(b))
-        else:
-            beta = alpha / (alpha - 1.0)
-            b_conj = float(np.sum(b ** beta) ** (1.0 / beta))
-        l_param = lead * 4.0 * math.e * b_conj / c_alpha
-    return SumBoundReport(bound, l_param, alpha, BoundSource.WEIGHTED_SUM)
-
-
-def variance_sum_bound(
-    variances, max_psi_norm: float, alpha: float, constants: BoundConstants
-) -> SumBoundReport:
-    """Variance-scaled two-regime norm bound for sum_i X_i.
-
-    The sum's norm is at most 2e sqrt(6) (sum_i E X_i^2)^(1/2); the
-    accompanying scale is
-
-        L = 4^(1/alpha) * c / (2 sqrt(6)) * (log(n+1))^(1/alpha)
-            * max_i ||X_i||_psi_alpha / (sum_i E X_i^2)^(1/2)
-
-    with c = c_alpha_thm32 * k_alpha_lt for alpha <= 1 (an order-alpha
-    statement) and c = c_alpha_thm33 for alpha > 1 (an order-1
-    statement).  Both branches agree at alpha = 1 when the configured
-    constants do.
-    """
-    v = np.asarray(variances, dtype=float).ravel()
-    if v.size == 0:
-        raise ValueError("need at least one summand")
-    if np.any(v < 0) or max_psi_norm < 0:
-        raise ValueError("variances and max_psi_norm must be nonnegative")
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
-
-    total = float(np.sum(v))
-    if alpha <= 1.0:
-        source = BoundSource.VARIANCE_SMALL_ALPHA
-        c = constants.c_alpha_thm32 * constants.k_alpha_lt
-        eff_alpha = alpha
-    else:
-        source = BoundSource.VARIANCE_LARGE_ALPHA
-        c = constants.c_alpha_thm33
-        eff_alpha = 1.0
-    if total == 0.0:
-        return SumBoundReport(0.0, 0.0, eff_alpha, source, degenerate=True)
-
-    n = v.size
-    bound = 2.0 * math.e * math.sqrt(6.0) * math.sqrt(total)
-    l_param = (
-        4.0 ** (1.0 / alpha)
-        * c
-        / (2.0 * math.sqrt(6.0))
-        * math.log(n + 1.0) ** (1.0 / alpha)
-        * max_psi_norm
-        / math.sqrt(total)
-    )
-    return SumBoundReport(bound, l_param, eff_alpha, source)
+__all__ = ["max_average_threshold"]
 
 
 def max_average_threshold(
@@ -233,91 +66,3 @@ def max_average_threshold(
             / n
         )
     return threshold, min(1.0, 3.0 * math.exp(-t))
-
-
-def product_norm(norms, alphas) -> tuple[float, float]:
-    """Order and norm bound for a product of independent factors.
-
-    A product of variables with psi_alpha_i norms bounded by norms_i is
-    psi_beta with 1/beta = sum_i 1/alpha_i, and its psi_beta norm is at
-    most the product of the factor norms.
-    """
-    norms = np.asarray(norms, dtype=float).ravel()
-    alphas = np.asarray(alphas, dtype=float).ravel()
-    if norms.size != alphas.size:
-        raise ValueError("norms and alphas must have equal lengths")
-    if norms.size == 0:
-        raise ValueError("need at least one factor")
-    if np.any(norms < 0) or np.any(alphas <= 0):
-        raise ValueError("norms nonnegative and alphas positive required")
-    beta = 1.0 / float(np.sum(1.0 / alphas))
-    return beta, float(np.prod(norms))
-
-
-def kernel_deviation_threshold(
-    M_Y: float,
-    R_K: float,
-    C_Y: float,
-    C_K: float,
-    n: int,
-    h: float,
-    p_dim: int,
-    alpha: float,
-    t: float,
-    constants: BoundConstants,
-) -> tuple[float, float]:
-    """Pointwise deviation threshold for a kernel-weighted average.
-
-    For bandwidth h in p_dim dimensions with conditional moment bound
-    M_Y, kernel roughness R_K, and envelope products C_Y C_K, the
-    deviation exceeds
-
-        7 sqrt(M_Y R_K) sqrt(t) / sqrt(n h^p)
-        + c * C_Y C_K (log 2n)^(1/alpha) t^(1/alpha*) / (n h^p)
-
-    with probability at most 3 exp(-t).
-    """
-    for name, val in (("M_Y", M_Y), ("R_K", R_K), ("C_Y", C_Y), ("C_K", C_K)):
-        if val < 0:
-            raise ValueError(f"{name} must be nonnegative")
-    if n < 1 or h <= 0 or p_dim < 0:
-        raise ValueError("need n >= 1, h > 0, p_dim >= 0")
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    nhp = n * h ** p_dim
-    if not nhp > 0:
-        raise ValueError("n h^p must be positive")
-    alpha_star = min(alpha, 1.0)
-    threshold = 7.0 * math.sqrt(M_Y * R_K) * math.sqrt(t) / math.sqrt(nhp)
-    if t > 0:
-        threshold += (
-            constants.c_alpha_thm34
-            * C_Y
-            * C_K
-            * math.log(2.0 * n) ** (1.0 / alpha)
-            * t ** (1.0 / alpha_star)
-            / nhp
-        )
-    return threshold, min(1.0, 3.0 * math.exp(-t))
-
-
-def bernstein_subexp_tail(sigma2: float, C_n: float, t: float) -> float:
-    """Classical two-regime Bernstein tail bound, clamped to [0, 1].
-
-    Gaussian regime 2 exp(-t^2 / (4 sigma^2)) while t < sigma^2 / C_n,
-    exponential regime 2 exp(-t / (4 C_n)) beyond.
-    """
-    if sigma2 < 0 or C_n < 0:
-        raise ValueError("sigma2 and C_n must be nonnegative")
-    if sigma2 == 0 and C_n == 0:
-        raise ValueError("at least one of sigma2, C_n must be positive")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    gaussian_regime = sigma2 > 0 and (C_n == 0 or t < sigma2 / C_n)
-    if gaussian_regime:
-        value = 2.0 * math.exp(-(t ** 2) / (4.0 * sigma2))
-    else:
-        value = 2.0 * math.exp(-t / (4.0 * C_n))
-    return min(1.0, value)

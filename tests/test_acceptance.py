@@ -144,10 +144,10 @@ def test_sparse_operator_net_certificate_and_monotonicity():
         x = sp.draw_matrix(law, n, stream)
         deviation = cv.gram(x) - np.diag(law.coordinate_variances)
         net = cv.quarter_net(k, p)
-        exact = cv.rip_exact(deviation, k).value
-        if exact > 2.0 * cv.rip_net(deviation, k, net).value + 1e-12:
+        exact = cv.rip_exact(deviation, k)
+        if exact > 2.0 * cv.rip_net(deviation, k, net) + 1e-12:
             cert_fail += 1
-        chain = [cv.rip_exact(deviation, kk).value for kk in (1, 2, 3)]
+        chain = [cv.rip_exact(deviation, kk) for kk in (1, 2, 3)]
         if not (chain[0] <= chain[1] + 1e-12 and chain[1] <= chain[2] + 1e-12):
             mono_fail += 1
         instances += 1
@@ -171,7 +171,7 @@ def test_sparse_operator_error_rate():
         values = []
         for rep in range(100):
             x = sp.draw_matrix(law, n, sp.RngStream(SEED, 10_000_000 * i + 8 * rep))
-            values.append(cv.rip_exact(cv.gram(x) - target, 2).value)
+            values.append(cv.rip_exact(cv.gram(x) - target, 2))
         medians.append(float(np.median(values)))
     slope, se = ex.fit_loglog(ns, medians)
     elapsed = time.perf_counter() - t0

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import ast
 import csv
+import importlib
 import os
 import resource
 import subprocess
@@ -136,6 +138,21 @@ def test_import_does_not_load_scipy_stats():
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_public_names_are_exported():
+    # every __all__ entry resolves, and the package re-exports only
+    # names that its modules list in __all__
+    init = Path(cli.__file__).with_name("__init__.py")
+    imports = [node for node in ast.parse(init.read_text()).body
+               if isinstance(node, ast.ImportFrom)]
+    assert imports
+    for node in imports:
+        module = importlib.import_module(f"subweibull.{node.module}")
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert not missing, (node.module, missing)
+        unlisted = [a.name for a in node.names if a.name not in module.__all__]
+        assert not unlisted, (node.module, unlisted)
 
 
 def test_version_flag():

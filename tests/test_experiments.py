@@ -105,7 +105,7 @@ def test_parse_config_constants_override():
     config = _parse("experiment = norms\nc_gamma_lasso = 2.5\nk1_clt = 0.5\n")
     assert config.constants.c_gamma_lasso == 2.5
     assert config.constants.k1_clt == 0.5
-    assert config.constants.c_alpha_thm32 == 1.0
+    assert config.constants.c_alpha_thm34 == 1.0
 
 
 def test_parse_config_driver_keys():
@@ -160,7 +160,7 @@ def test_parse_config_option_types():
     ("experiment = norms\noutput_dir =\n", "must not be empty"),
     ("experiment = clt\nlaw = weibull\nalpha = nan\n", "must be finite"),
     ("experiment = lasso\nbeta_scale = inf\n", "must be finite"),
-    ("experiment = covariance\nc_alpha_thm32 = nan\n", "must be finite"),
+    ("experiment = covariance\nc_alpha_thm34 = nan\n", "must be finite"),
     ("experiment = norms\nalpha = inf\n", "must be finite"),
 ])
 def test_parse_config_rejects(text, fragment):
@@ -320,7 +320,7 @@ def test_run_norms_artifacts(tmp_path):
     manifest, out = _run(NORMS_SMALL, tmp_path)
     rows = _read_rows(out / "results.csv")
     assert len(rows) == 2 * 3
-    assert rows[0]["schema"] == "norms.v1"
+    assert rows[0]["schema"] == "norms.v2"
     assert [row["rep"] for row in rows] == ["0", "1", "2"] * 2
     # task stream blocks: cell stride 1000003, eight substreams per task
     assert [int(row["stream"]) for row in rows[:4]] == [0, 8, 16, 8000024]

@@ -6,13 +6,10 @@ from scipy import stats as sps
 
 from subweibull.covariance import centered_cov
 from subweibull.hdclt import (
-    BootstrapResult,
-    bootstrap_error_bound,
     data_max_sample,
     gaussian_analog_sample,
     hdclt_bound,
     max_statistic,
-    multiplier_bootstrap,
     multiplier_draws,
     rho_rectangle_proxy,
 )
@@ -218,8 +215,6 @@ def test_hdclt_bound_validation():
 
 def test_multiplier_identical_rows_give_zero():
     w = _matrix(np.tile([1.5, -2.0, 0.5], (6, 1)))
-    result = multiplier_bootstrap(w, 200, [0.5, 0.9], RngStream(6, 0))
-    assert result.quantiles == {0.5: 0.0, 0.9: 0.0}
     draws = multiplier_draws(w, 200, RngStream(6, 1))
     assert np.all(draws == 0.0)
 
@@ -227,32 +222,27 @@ def test_multiplier_identical_rows_give_zero():
 def test_multiplier_q1_conditional_gaussian_quantile():
     # conditional on the data the q=1 bootstrap draw is N(0, sigma_hat^2)
     w = draw_matrix(IidCoordinates(Gaussian(1.0), 1), 200, RngStream(13, 0))
-    result = multiplier_bootstrap(w, 10**5, [0.975], RngStream(13, 1))
+    draws = multiplier_draws(w, 10**5, RngStream(13, 1))
     sigma_hat = math.sqrt(centered_cov(w)[0, 0])
     target = 1.959963984540054 * sigma_hat
-    assert result.quantiles[0.975] == pytest.approx(target, rel=0.03)
+    assert np.quantile(draws, 0.975) == pytest.approx(target, rel=0.03)
 
 
 def test_multiplier_scaling_homogeneity():
     base = draw_matrix(IidCoordinates(SymmetricWeibull(1.0), 4), 30, RngStream(20, 0))
     scaled = DataMatrix(30, 4, base.values * 3.0, base.law)
-    r_base = multiplier_bootstrap(base, 4000, [0.5, 0.9], RngStream(20, 1))
-    r_scaled = multiplier_bootstrap(scaled, 4000, [0.5, 0.9], RngStream(20, 1))
-    for level in (0.5, 0.9):
-        assert r_scaled.quantiles[level] == pytest.approx(3.0 * r_base.quantiles[level], rel=1e-12)
+    q_base = np.quantile(multiplier_draws(base, 4000, RngStream(20, 1)), [0.5, 0.9])
+    q_scaled = np.quantile(multiplier_draws(scaled, 4000, RngStream(20, 1)), [0.5, 0.9])
+    assert q_scaled == pytest.approx(3.0 * q_base, rel=1e-12)
 
 
 def test_multiplier_validation():
     w = _matrix([[1.0, 2.0]])
     with pytest.raises(ValueError, match="at least 2 rows"):
-        multiplier_bootstrap(w, 10, [0.5], RngStream(7, 0))
+        multiplier_draws(w, 10, RngStream(7, 0))
     w2 = _matrix([[1.0, 2.0], [0.0, 1.0]])
     with pytest.raises(ValueError, match="draws"):
-        multiplier_bootstrap(w2, 0, [0.5], RngStream(7, 0))
-    with pytest.raises(ValueError, match="at least one"):
-        multiplier_bootstrap(w2, 10, [], RngStream(7, 0))
-    with pytest.raises(ValueError, match="inside"):
-        multiplier_bootstrap(w2, 10, [0.5, 1.0], RngStream(7, 0))
+        multiplier_draws(w2, 0, RngStream(7, 0))
 
 
 def test_bootstrap_matches_gaussian_analog_conditionally():
@@ -263,49 +253,6 @@ def test_bootstrap_matches_gaussian_analog_conditionally():
     boot = multiplier_draws(w, reps, RngStream(14, 1))
     analog = gaussian_analog_sample(centered_cov(w), reps, RngStream(14, 2))
     assert rho_rectangle_proxy(boot, analog, grid=2 * reps) < 0.02
-
-
-def test_bootstrap_result_fields_and_delta_star():
-    w = draw_matrix(IidCoordinates(Gaussian(1.0), 3), 40, RngStream(15, 0))
-    sigma_star = centered_cov(w)
-    exact = multiplier_bootstrap(w, 50, [0.5], RngStream(15, 1), sigma_ref=sigma_star)
-    assert exact.delta_star == 0.0
-    assert np.array_equal(exact.sigma_star, sigma_star)
-    shifted = multiplier_bootstrap(
-        w, 50, [0.5], RngStream(15, 1), sigma_ref=sigma_star + 0.05 * np.eye(3)
-    )
-    assert shifted.delta_star == pytest.approx(0.05, rel=1e-12)
-    assert multiplier_bootstrap(w, 50, [0.5], RngStream(15, 1)).delta_star is None
-
-
-def test_bootstrap_result_validation():
-    sigma = np.eye(2)
-    with pytest.raises(ValueError, match="nondecreasing"):
-        BootstrapResult({0.5: 1.0, 0.9: 0.5}, 10, sigma)
-    with pytest.raises(ValueError, match="inside"):
-        BootstrapResult({0.0: 0.0}, 10, sigma)
-    with pytest.raises(ValueError, match="at least one"):
-        BootstrapResult({}, 10, sigma)
-    with pytest.raises(ValueError, match="draws"):
-        BootstrapResult({0.5: 0.0}, 0, sigma)
-    with pytest.raises(ValueError, match="delta_star"):
-        BootstrapResult({0.5: 0.0}, 10, sigma, delta_star=-1.0)
-
-
-def test_bootstrap_error_bound_examples():
-    assert bootstrap_error_bound(0.0, 5) == 0.0
-    assert bootstrap_error_bound(1.0, math.e) == pytest.approx(1.0, abs=1e-12)
-    ratio = bootstrap_error_bound(8.0, 7.0) / bootstrap_error_bound(1.0, 7.0)
-    assert ratio == pytest.approx(2.0, rel=1e-12)
-    assert bootstrap_error_bound(1.0, 10.0, c=3.0) == pytest.approx(
-        3.0 * math.log(10.0) ** (2.0 / 3.0), rel=1e-12
-    )
-    with pytest.raises(ValueError, match="p must be"):
-        bootstrap_error_bound(1.0, 1.5)
-    with pytest.raises(ValueError, match="nonnegative"):
-        bootstrap_error_bound(-1.0, 5)
-    with pytest.raises(ValueError, match="c must be"):
-        bootstrap_error_bound(1.0, 5, c=0.0)
 
 
 def test_rho_shrinks_with_sample_size():

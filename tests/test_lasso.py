@@ -180,7 +180,6 @@ def test_lambda_theory_poly():
 
 def test_policies_resolve():
     problem, _ = _problem(2)
-    assert ls.FixedLambda(0.25).resolve(problem) == 0.25
     sub = ls.TheorySubWeibull(1.0, 0.5, 1.0)
     assert sub.resolve(problem) == pytest.approx(
         ls.lambda_theory_subweibull(1.0, 0.5, 40, 8, 1.0)
@@ -195,74 +194,6 @@ def test_policies_resolve():
     assert oracle.resolve(problem) == pytest.approx(expected, rel=1e-12)
     with pytest.raises(ValueError):
         ls.EmpiricalOracle(np.ones(3)).resolve(problem)
-    with pytest.raises(ValueError):
-        ls.FixedLambda(0.0)
-
-
-def test_error_bound_subweibull():
-    assert ls.error_bound_subweibull(0.0, 0.0, 100, 10, 2, 1.0, 1.0) == 0.0
-    base = ls.error_bound_subweibull(1.0, 0.0, 100, 10, 2, 1.0, 1.0)
-    assert ls.error_bound_subweibull(1.0, 0.0, 100, 10, 8, 1.0, 1.0) == pytest.approx(
-        2.0 * base, rel=1e-12
-    )
-    assert ls.error_bound_subweibull(1.0, 0.5, 100, 10, 2, 1.0, 0.5) == pytest.approx(
-        2.0 * ls.error_bound_subweibull(1.0, 0.5, 100, 10, 2, 1.0, 1.0), rel=1e-12
-    )
-    assert base == pytest.approx(
-        84.0 * math.sqrt(2.0) * math.sqrt(2.0 * math.log(1000.0) / 100.0), rel=1e-12
-    )
-    with pytest.raises(ValueError):
-        ls.error_bound_subweibull(1.0, 0.0, 100, 10, 2, 1.0, 0.0)
-
-
-def test_oracle_inequality_bound():
-    beta0 = np.array([1.0, -2.0, 0.0, 0.0])
-    value, chosen = ls.oracle_inequality_bound(
-        [(0, 1)], 0.5, lambda size: 0.0, 2.0, beta0
-    )
-    assert chosen == (0, 1)
-    assert value == pytest.approx(18.0 * 0.25 * 2 / 4.0)
-    value, chosen = ls.oracle_inequality_bound(
-        [(0,)], 0.5, lambda size: 0.0, 2.0, np.zeros(3)
-    )
-    assert value == pytest.approx(18.0 * 0.25 / 4.0)
-    # the sparser candidate dominates when beta0 is zero
-    value, chosen = ls.oracle_inequality_bound(
-        [(0, 1), (2,)], 0.5, lambda size: 0.0, 2.0, np.zeros(4)
-    )
-    assert chosen == (2,)
-    # candidates with nonpositive margin are skipped
-    value, chosen = ls.oracle_inequality_bound(
-        [(0,), (1, 2)], 0.5, lambda size: 1.0 if size > 1 else 0.0, 2.0, np.zeros(4)
-    )
-    assert chosen == (0,)
-    # ties break to smallest support then lexicographic order
-    _, chosen = ls.oracle_inequality_bound(
-        [(1,), (0,)], 0.5, lambda size: 0.0, 2.0, np.zeros(4)
-    )
-    assert chosen == (0,)
-    with pytest.raises(ValueError):
-        ls.oracle_inequality_bound([], 0.5, lambda size: 0.0, 2.0, np.zeros(4))
-    with pytest.raises(ValueError):
-        ls.oracle_inequality_bound([(0,)], 0.5, lambda size: 1.0, 2.0, np.zeros(4))
-
-
-def test_oracle_inequality_full_terms():
-    beta0 = np.array([1.0, 0.5, 0.25, 0.0])
-    lam, lam_min = 0.3, 3.0
-    xi = 0.001
-    margin = lam_min - 1755.0 * xi
-    tail = 0.75
-    expected = (
-        18.0 * lam**2 / margin**2
-        + 8.0 * lam * tail / margin
-        + 3456.0 * xi * tail**2 / margin
-    )
-    value, chosen = ls.oracle_inequality_bound(
-        [(0,)], lam, lambda size: xi, lam_min, beta0
-    )
-    assert value == pytest.approx(expected, rel=1e-12)
-    assert chosen == (0,)
 
 
 def test_cone_membership_examples():

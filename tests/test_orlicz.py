@@ -13,31 +13,20 @@ from subweibull import orlicz as oz
 
 
 def test_closed_form_constants():
-    assert oz.scaling_constant(1.0) == pytest.approx(math.sqrt(3.0), rel=1e-12)
-    assert oz.interpolation_constant(0.5) == 2.0
-    assert oz.interpolation_constant(2.0) == 1.0
-    assert oz.norm_equivalence_constant(1.0) == pytest.approx(math.sqrt(3.0), rel=1e-12)
-    assert oz.sharper_max_constant(1.0) == 1.0
     assert oz.quasi_norm_constant(2.0) == 1.0
     assert oz.quasi_norm_constant(1.0) == 1.0
     # alpha = 1/2: 2e * (4 / 0.5)^2 = 128 e
     assert oz.quasi_norm_constant(0.5) == pytest.approx(128.0 * math.e, rel=1e-12)
     assert oz.moment_lower_constant(1.0) == 0.5
     assert oz.moment_upper_constant(2.0) == pytest.approx(2.0 * math.e, rel=1e-12)
-    assert oz.weighted_sum_constant(1.0) == pytest.approx(
-        2.0 * (4.0 * math.e + 2.0 * math.log(2.0)), rel=1e-12
-    )
     with pytest.raises(ValueError):
-        oz.scaling_constant(0.0)
+        oz.quasi_norm_constant(0.0)
 
 
 def test_bound_constants_defaults():
     c = oz.BoundConstants()
     vals = c.as_mapping()
     assert set(vals) == {
-        "c_alpha_thm32",
-        "k_alpha_lt",
-        "c_alpha_thm33",
         "c_alpha_thm34",
         "k1_clt",
         "k2_clt",
@@ -54,12 +43,6 @@ def test_spec_validation():
         oz.OrliczSpec.gbo(1.0, -0.1)
     with pytest.raises(ValueError):
         oz.OrliczSpec.gbo_phi(1.0, 0.0)
-    with pytest.raises(ValueError):
-        oz.OrliczSpec.multi([], [])
-    with pytest.raises(ValueError):
-        oz.OrliczSpec.multi([1.0, 2.0], [1.0])
-    with pytest.raises(ValueError):
-        oz.OrliczSpec.multi([1.0], [0.0])
 
 
 def test_eval_function_examples():
@@ -86,9 +69,6 @@ def test_eval_inverse_examples():
     assert oz.eval_inverse(
         oz.OrliczSpec.gbo(0.5, 2.0), math.e ** 4 - 1.0
     ) == pytest.approx(34.0, rel=1e-12)
-    assert oz.eval_inverse(
-        oz.OrliczSpec.multi([0.5, 1.0], [1.0, 1.0]), math.e - 1.0
-    ) == pytest.approx(2.0, rel=1e-12)
     assert oz.eval_inverse(oz.OrliczSpec.psi(1.0), 0.0) == 0.0
     with pytest.raises(ValueError):
         oz.eval_inverse(oz.OrliczSpec.psi(1.0), -0.5)
@@ -103,8 +83,6 @@ ALL_SPECS = [
     oz.OrliczSpec.gbo(2.0, 0.3),
     oz.OrliczSpec.gbo_phi(0.5, 1.5),
     oz.OrliczSpec.gbo_phi(2.0, 0.7),
-    oz.OrliczSpec.multi([0.5, 1.0], [1.0, 0.5]),
-    oz.OrliczSpec.multi([2.0, 0.8], [0.4, 1.2]),
 ]
 
 
@@ -179,17 +157,9 @@ def test_homogeneity():
         assert abs(scaled - c * base) <= tol * (1.0 + c) * max(1.0, base) * 4.0
 
 
-def test_moment_growth_norm_examples():
-    assert oz.moment_growth_norm(np.ones(5), 1.0) == pytest.approx(1.0, rel=1e-9)
-    assert oz.moment_growth_norm(np.zeros(5), 2.0) == 0.0
-    with pytest.raises(ValueError):
-        oz.moment_growth_norm([], 1.0)
-    with pytest.raises(ValueError):
-        oz.moment_growth_norm([1.0], 1.0, r_max=0.5)
-
-
-def test_moment_growth_norm_gaussian_oracle():
-    # Oracle: absolute Gaussian moments have the closed form
+def test_gbo_moment_norm_gaussian_oracle():
+    # At L = 0 the functional is sup_r ||x||_r / sqrt(r).  Oracle: absolute
+    # Gaussian moments have the closed form
     # E|Z|^r = 2^(r/2) Gamma((r+1)/2) / sqrt(pi); take the same grid sup.
     r_grid = np.arange(1.0, 50.0 + 1e-12, 0.5)
     log_moment = (
@@ -201,7 +171,7 @@ def test_moment_growth_norm_gaussian_oracle():
 
     rng = np.random.default_rng(2024)
     x = rng.standard_normal(10 ** 6)
-    value = oz.moment_growth_norm(x, 2.0, r_max=50.0, grid_step=0.5)
+    value = oz.gbo_moment_norm(x, 2.0, 0.0, r_max=50.0, grid_step=0.5)
     assert value == pytest.approx(oracle, rel=0.02)
 
 
@@ -211,30 +181,14 @@ def test_gbo_moment_norm_basics():
     # at r = 1 so the functional equals 1/(1 + L).
     assert oz.gbo_moment_norm(x, 1.0, 1.0) == pytest.approx(0.5, rel=1e-9)
     assert oz.gbo_moment_norm(np.zeros(4), 1.0, 1.0) == 0.0
-
-
-def test_threshold_helpers():
-    thr, p = oz.gbo_tail_threshold(1.0, 1.0, 1.0, 4.0)
-    assert thr == pytest.approx(6.0, rel=1e-12)
-    assert p == pytest.approx(2.0 * math.exp(-4.0), rel=1e-12)
-    _, p = oz.gbo_tail_threshold(1.0, 2.0, 0.0, math.log(2.0))
-    assert p == 1.0
-    thr, _ = oz.gbo_tail_threshold(0.0, 1.0, 1.0, 3.0)
-    assert thr == 0.0
-
-    thr, p = oz.maximal_threshold(1.0, 1.0, 1.0, math.e, 0.0)
-    assert thr == pytest.approx(2.0, rel=1e-12)
-    assert p == 1.0
-    thr, _ = oz.maximal_threshold(5.0, 1.0, 2.0, 1.0, 0.0)
-    assert thr == 0.0
-    thr, _ = oz.maximal_threshold(2.0, 2.0, 0.0, math.e ** 4, 0.0)
-    assert thr == pytest.approx(4.0, rel=1e-12)
-
-    val = oz.sharper_maximal_denominator(1.0, 1.0, 0.0, 1.0)
-    assert val == pytest.approx(math.sqrt(2.0 * math.log(2.0)), rel=1e-12)
-    assert oz.sharper_maximal_denominator(4.0, 1.0, 1.0, 0.0) == 0.0
-    val = oz.sharper_maximal_denominator(math.e - 1.0, 1.0, 1.0, 1.0)
-    assert val == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-12)
+    # at L = 0 the denominator sqrt(r) is also minimized at r = 1
+    assert oz.gbo_moment_norm(np.ones(5), 1.0, 0.0) == pytest.approx(1.0, rel=1e-9)
+    with pytest.raises(ValueError):
+        oz.gbo_moment_norm([], 2.0, 0.0)
+    with pytest.raises(ValueError):
+        oz.gbo_moment_norm([1.0], 2.0, 0.0, r_max=0.5)
+    with pytest.raises(ValueError):
+        oz.gbo_moment_norm([1.0], 1.0, -0.5)
 
 
 # ---------------------------------------------------------------------------

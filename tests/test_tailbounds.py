@@ -1,4 +1,4 @@
-"""Closed-form bound formulas: frozen values, branches, monotonicity."""
+"""The closed-form max-average threshold: frozen values, monotonicity."""
 
 from __future__ import annotations
 
@@ -11,74 +11,6 @@ from subweibull import tailbounds as tb
 from subweibull.orlicz import BoundConstants
 
 C = BoundConstants()
-
-
-def test_weighted_sum_bound_single_term():
-    # Hand evaluation: C(1) = max{sqrt2, 2} (4e + 2 log 2) and the bound
-    # is 2e C(1) ||b||_2 with b = (1).
-    rep = tb.weighted_sum_bound([1.0], [1.0], 1.0)
-    hand = 2.0 * math.e * 2.0 * (4.0 * math.e + 2.0 * math.log(2.0))
-    assert rep.gbo_norm_bound == pytest.approx(hand, rel=1e-12)
-    assert rep.gbo_norm_bound == pytest.approx(133.29825266580016, rel=1e-12)
-    assert rep.effective_alpha == 1.0
-    assert rep.source is tb.BoundSource.WEIGHTED_SUM
-    # alpha = 1 conjugate norm is the max norm: l_param = 4 * 4e / (sqrt2 C(1))
-    hand_l = 4.0 * 4.0 * math.e / (math.sqrt(2.0) * 2.0 * (4.0 * math.e + 2.0 * math.log(2.0)))
-    assert rep.l_param == pytest.approx(hand_l, rel=1e-12)
-
-
-def test_weighted_sum_bound_zero_and_small_alpha():
-    rep = tb.weighted_sum_bound([0.0, 0.0], [1.0, 2.0], 0.7)
-    assert rep.gbo_norm_bound == 0.0 and rep.l_param == 0.0 and rep.degenerate
-
-    rep = tb.weighted_sum_bound([1.0, 1.0], [1.0, 1.0], 0.5)
-    # alpha < 1 branch: L = 4^2 * ||b||_inf / (sqrt2 ||b||_2), b = (1,1)
-    assert rep.l_param == pytest.approx(16.0 / (math.sqrt(2.0) * math.sqrt(2.0)), rel=1e-12)
-
-    with pytest.raises(ValueError):
-        tb.weighted_sum_bound([1.0], [1.0, 2.0], 1.0)
-    with pytest.raises(ValueError):
-        tb.weighted_sum_bound([1.0], [-1.0], 1.0)
-
-
-def test_weighted_sum_bound_homogeneity():
-    base = tb.weighted_sum_bound([1.0, -2.0, 0.5], [1.0, 0.3, 2.0], 1.5)
-    scaled = tb.weighted_sum_bound([1.0, -2.0, 0.5], [3.0, 0.9, 6.0], 1.5)
-    assert scaled.gbo_norm_bound == pytest.approx(3.0 * base.gbo_norm_bound, rel=1e-12)
-    # the scale L is invariant under a common rescaling of b
-    assert scaled.l_param == pytest.approx(base.l_param, rel=1e-12)
-
-
-def test_variance_sum_bound_values():
-    rep = tb.variance_sum_bound([1.0], 1.0, 1.0, C)
-    assert rep.gbo_norm_bound == pytest.approx(2.0 * math.e * math.sqrt(6.0), rel=1e-12)
-    assert rep.gbo_norm_bound == pytest.approx(13.316806913608666, rel=1e-10)
-    assert rep.source is tb.BoundSource.VARIANCE_SMALL_ALPHA
-
-    doubled = tb.variance_sum_bound([2.0], 1.0, 1.0, C)
-    assert doubled.gbo_norm_bound == pytest.approx(math.sqrt(2.0) * rep.gbo_norm_bound, rel=1e-12)
-
-    rep = tb.variance_sum_bound([0.0, 0.0], 1.0, 1.0, C)
-    assert rep.degenerate and rep.gbo_norm_bound == 0.0 and rep.l_param == 0.0
-
-
-def test_variance_sum_bound_branches():
-    small = tb.variance_sum_bound([1.0, 2.0], 1.5, 1.0, C)
-    # alpha > 1 is an order-1 statement
-    large = tb.variance_sum_bound([1.0, 2.0], 1.5, 1.8, C)
-    assert small.effective_alpha == 1.0
-    assert large.effective_alpha == 1.0
-    assert large.source is tb.BoundSource.VARIANCE_LARGE_ALPHA
-
-    # branch continuity at alpha = 1: the large-alpha formula evaluated
-    # by hand at alpha 1 must agree when c32 * k == c33.
-    consts = BoundConstants(c_alpha_thm32=0.8, k_alpha_lt=2.5, c_alpha_thm33=2.0)
-    rep = tb.variance_sum_bound([1.0, 2.0, 0.5], 1.5, 1.0, consts)
-    n, total = 3, 3.5
-    hand_large = (
-        4.0 * 2.0 / (2.0 * math.sqrt(6.0)) * math.log(n + 1.0) * 1.5 / math.sqrt(total)
-    )
-    assert rep.l_param == pytest.approx(hand_large, rel=1e-12)
 
 
 def test_max_average_threshold():
@@ -109,54 +41,3 @@ def test_max_average_threshold_monotonicity():
     lo, _ = tb.max_average_threshold(1.0, 1.0, 500, 40, 0.7, 2.0, C)
     hi, _ = tb.max_average_threshold(2.0, 3.0, 500, 40, 0.7, 2.0, C)
     assert hi >= lo
-
-
-def test_product_norm():
-    beta, bound = tb.product_norm([2.0, 3.0], [2.0, 2.0])
-    assert beta == pytest.approx(1.0, rel=1e-12)
-    assert bound == pytest.approx(6.0, rel=1e-12)
-    beta, bound = tb.product_norm([1.5], [0.8])
-    assert beta == pytest.approx(0.8, rel=1e-12)
-    assert bound == pytest.approx(1.5, rel=1e-12)
-    with pytest.raises(ValueError):
-        tb.product_norm([1.0], [1.0, 2.0])
-
-
-def test_kernel_deviation_threshold():
-    thr, _ = tb.kernel_deviation_threshold(1.0, 1.0, 1.0, 1.0, 100, 1.0, 2, 1.0, 0.0, C)
-    assert thr == 0.0
-
-    # n h^p = 1: first term is exactly 7 sqrt(t) at t = 1
-    thr, p = tb.kernel_deviation_threshold(1.0, 1.0, 0.0, 0.0, 100, 0.1, 1, 1.0, 1.0, C)
-    assert thr == pytest.approx(7.0 / math.sqrt(100 * 0.1), rel=1e-12)
-
-    base, _ = tb.kernel_deviation_threshold(1.0, 1.0, 0.0, 0.0, 100, 0.5, 1, 1.0, 4.0, C)
-    quad, _ = tb.kernel_deviation_threshold(1.0, 1.0, 0.0, 0.0, 400, 0.5, 1, 1.0, 4.0, C)
-    assert quad == pytest.approx(base / 2.0, rel=1e-12)
-
-
-def test_bernstein_subexp_tail():
-    assert tb.bernstein_subexp_tail(1.0, 1.0, 0.0) == 1.0
-    assert tb.bernstein_subexp_tail(1.0, 1.0, 0.5) == 1.0  # clamped from ~1.88
-    # exponential regime: t = 20 >= sigma2 / C_n = 10
-    assert tb.bernstein_subexp_tail(1.0, 0.1, 20.0) == pytest.approx(
-        2.0 * math.exp(-50.0), rel=1e-12
-    )
-    # Gaussian regime: t = 4 < 10
-    assert tb.bernstein_subexp_tail(1.0, 0.1, 4.0) == pytest.approx(
-        2.0 * math.exp(-4.0), rel=1e-12
-    )
-    with pytest.raises(ValueError):
-        tb.bernstein_subexp_tail(0.0, 0.0, 1.0)
-
-
-def test_tail_curve_validation():
-    ts = (0.0, 1.0, 2.0)
-    good = tb.TailCurve(ts, (0.0, 1.0, 1.5), (1.0, 0.9, 0.3))
-    assert good.t_values == ts
-    with pytest.raises(ValueError):
-        tb.TailCurve(ts, (1.0, 0.5, 1.5), (1.0, 0.9, 0.3))
-    with pytest.raises(ValueError):
-        tb.TailCurve(ts, (0.0, 1.0, 1.5), (0.5, 0.9, 0.3))
-    with pytest.raises(ValueError):
-        tb.TailCurve((0.0, 1.0), (0.0,), (1.0,))
