@@ -181,14 +181,19 @@ def test_gbo_moment_norm_basics():
     # at r = 1 so the functional equals 1/(1 + L).
     assert oz.gbo_moment_norm(x, 1.0, 1.0) == pytest.approx(0.5, rel=1e-9)
     assert oz.gbo_moment_norm(np.zeros(4), 1.0, 1.0) == 0.0
-    # at L = 0 the denominator sqrt(r) is also minimized at r = 1
-    assert oz.gbo_moment_norm(np.ones(5), 1.0, 0.0) == pytest.approx(1.0, rel=1e-9)
-    with pytest.raises(ValueError):
-        oz.gbo_moment_norm([], 2.0, 0.0)
-    with pytest.raises(ValueError):
-        oz.gbo_moment_norm([1.0], 2.0, 0.0, r_max=0.5)
     with pytest.raises(ValueError):
         oz.gbo_moment_norm([1.0], 1.0, -0.5)
+
+
+def test_moment_growth_norm_examples():
+    # The moment-growth norm sup_r ||x||_r / r^(1/alpha) is gbo_moment_norm
+    # at L = 0; the denominator is again minimized at r = 1.
+    assert oz.gbo_moment_norm(np.ones(5), 1.0, 0.0) == pytest.approx(1.0, rel=1e-9)
+    assert oz.gbo_moment_norm(np.zeros(5), 2.0, 0.0) == 0.0
+    with pytest.raises(ValueError):
+        oz.gbo_moment_norm([], 1.0, 0.0)
+    with pytest.raises(ValueError):
+        oz.gbo_moment_norm([1.0], 1.0, 0.0, r_max=0.5)
 
 
 # ---------------------------------------------------------------------------
