@@ -385,7 +385,9 @@ def cone_min_oracle(sigma_hat, s, delta, trials, rng: RngStream) -> float:
     (sphere on the support, signed Dirichlet mass off it, scaled by a
     uniform) in blocks of about 2^20 floats and returns the smallest
     theta' Sigma theta / theta' theta.  Used to falsify restricted
-    eigenvalue verdicts, never to certify.
+    eigenvalue verdicts, never to certify.  A quotient that overflows
+    (theta' theta <= 1 + |S| delta^2) raises ValueError rather than
+    returning a bound that can never falsify.
     """
     sigma_hat = _require_symmetric(sigma_hat, "sigma_hat")
     p = sigma_hat.shape[0]
@@ -406,7 +408,13 @@ def cone_min_oracle(sigma_hat, s, delta, trials, rng: RngStream) -> float:
     for start in range(0, trials, block):
         theta = _cone_directions(gen, p, support, off, delta,
                                  min(block, trials - start))
-        quad = np.einsum("ij,ij->i", theta @ sigma_hat, theta)
-        ratios = quad / np.einsum("ij,ij->i", theta, theta)
+        with np.errstate(over="ignore", invalid="ignore"):
+            quad = np.einsum("ij,ij->i", theta @ sigma_hat, theta)
+            ratios = quad / np.einsum("ij,ij->i", theta, theta)
+        if not np.isfinite(ratios).all():
+            raise ValueError(
+                f"cone quotient overflowed at delta={delta:g}; "
+                "lower delta or rescale sigma_hat"
+            )
         best = min(best, float(np.min(ratios)))
     return best

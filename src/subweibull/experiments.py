@@ -24,6 +24,7 @@ import itertools
 import json
 import math
 import re
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -450,7 +451,12 @@ def _norms_summary(config, points, nested):
 
 def _tailcheck_task(config, point, rep, stream):
     law = SymmetricWeibull(point["alpha"])
-    x = law.sample(stream.generator(), (point["n"], point["q"]))
+    n, q = point["n"], point["q"]
+    gen = stream.generator()
+    sums = law.sample_sums(gen, n, q)
+    if sums is not None:
+        return {"max_average": float(np.max(np.abs(sums))) / n}
+    x = law.sample(gen, (n, q))
     return {"max_average": float(np.max(np.abs(x.mean(axis=0))))}
 
 
@@ -616,10 +622,17 @@ def _re_task(config, point, rep, stream):
         "margin": math.nan,
     }
     if report.satisfied:
-        cone_min = cone_min_oracle(
-            sigma, range(k), config.options["cone_delta"],
-            config.options["cone_trials"], _substream(stream, 1),
-        )
+        try:
+            cone_min = cone_min_oracle(
+                sigma, range(k), config.options["cone_delta"],
+                config.options["cone_trials"], _substream(stream, 1),
+            )
+        except ValueError as exc:
+            # theta'theta is bounded at parse time, theta' Sigma theta
+            # also scales with this sample's gram matrix
+            raise ConfigError(
+                f"re: {exc} (alpha={alpha}, p={p}, k={k}, n={n}, rep={rep})"
+            ) from exc
         if cone_min < report.gamma_n - _SLACK:
             raise InvariantViolation(
                 "restricted eigenvalue certificate failed: cone search found "
@@ -650,6 +663,16 @@ def _re_validate(config):
         for k in config.grids["k"]:
             if k > p:
                 raise ConfigError(f"re: k={k} exceeds p={p}")
+    # A cone direction has theta'theta <= 1 + k delta^2; half the largest
+    # float leaves room for rounding in the sums of squares.
+    delta, k = config.options["cone_delta"], max(config.grids["k"])
+    limit = math.sqrt(sys.float_info.max / (2.0 * k))
+    if delta > limit:
+        raise ConfigError(
+            f"re: cone_delta={delta:g} can overflow theta'theta <= "
+            f"1 + k cone_delta^2; at k={k} it must be at most "
+            f"sqrt(max_float / (2k)) = {limit:.6g}"
+        )
 
 
 # ---------------------------------------------------------------------------

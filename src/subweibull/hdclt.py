@@ -65,8 +65,14 @@ def data_max_sample(law: VectorLaw, n: int, reps: int, rng: RngStream) -> np.nda
     """Replications of the max statistic of mean-centered rows from ``law``.
 
     Rows are centered at the law's population means, so the sample
-    targets the mean zero statistic even for uncentered laws.  One
-    generator is consumed in replication order.
+    targets the mean zero statistic even for uncentered laws.  The
+    statistic depends on the rows only through their column sums S, so
+    when ``law.sample_sums`` has a closed form (Exponential, Gaussian and
+    SymmetricWeibull(1) coordinates) one ``(reps, q)`` block of sums is
+    drawn from the stream's one generator and every replication is
+    max_j (S_j - n mu_j) / sqrt(n) at once, equal in law to the row path.
+    Every other law draws n rows per replication, consuming the one
+    generator in replication order.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -74,6 +80,9 @@ def data_max_sample(law: VectorLaw, n: int, reps: int, rng: RngStream) -> np.nda
         raise ValueError("reps must be at least 1")
     means = law.coordinate_means
     gen = rng.generator()
+    sums = law.sample_sums(gen, int(n), int(reps))
+    if sums is not None:
+        return (sums - n * means).max(axis=1) / math.sqrt(n)
     values = np.empty(int(reps))
     for r in range(int(reps)):
         values[r] = max_statistic(law.draw_rows(gen, int(n)), means)

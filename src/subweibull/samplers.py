@@ -7,6 +7,21 @@ sub-Gaussian / sub-exponential cases, and a polynomial-tail law
 exponential Orlicz norm is finite.  ``IidCoordinates`` turns a scalar
 law into a p-dimensional row law with independent coordinates.
 
+Laws closed under convolution also draw the sum of n iid copies
+directly (``sample_sums``), so a statistic of column sums costs q draws
+per replication instead of n*q.  The closed forms, each exact in law:
+
+- ``Exponential(rate)``: ``standard_gamma(n, size) / rate``;
+- ``Gaussian(sigma)``: ``sigma * sqrt(n) * standard_normal(size)``;
+- ``SymmetricWeibull(1)`` (Laplace): ``standard_gamma(n, size)`` minus a
+  second ``standard_gamma(n, size)``, the positive block drawn first.
+
+Every other law, ``SymmetricWeibull`` at alpha != 1 and ``Pareto``
+included, returns None and callers draw the rows.  ``IidCoordinates``
+hands out a ``(reps, p)`` block of column sums, taken from the caller's
+one generator.  The sums consume a stream differently from the rows, so
+the two paths agree in law, not bit for bit.
+
 Randomness is splittable: an ``RngStream`` is a (seed, stream_id) pair
 and every draw operation builds a fresh counter-based generator from it,
 so the same stream always reproduces the same values bit for bit and
@@ -82,6 +97,10 @@ class ScalarLaw:
     def sample(self, gen: np.random.Generator, size):
         raise NotImplementedError
 
+    def sample_sums(self, gen: np.random.Generator, n: int, size):
+        """Sums of ``n`` iid copies, drawn directly, or None without a closed form."""
+        return None
+
     def ppf(self, u):
         raise NotImplementedError
 
@@ -145,6 +164,14 @@ class SymmetricWeibull(ScalarLaw):
         sign = gen.integers(0, 2, size=size) * 2.0 - 1.0
         return self.from_uniform(u, sign)
 
+    def sample_sums(self, gen: np.random.Generator, n: int, size):
+        if self.alpha != 1.0:
+            return None
+        # Laplace = E1 - E2, so n copies sum to Gamma(n) - Gamma(n); the
+        # positive block is drawn first.
+        positive = gen.standard_gamma(n, size)
+        return positive - gen.standard_gamma(n, size)
+
     def ppf(self, u):
         u = np.asarray(u, dtype=float)
         core = np.abs(2.0 * u - 1.0)
@@ -190,6 +217,9 @@ class Gaussian(ScalarLaw):
     def sample(self, gen: np.random.Generator, size):
         return self.sigma * gen.standard_normal(size)
 
+    def sample_sums(self, gen: np.random.Generator, n: int, size):
+        return self.sigma * math.sqrt(n) * gen.standard_normal(size)
+
     @property
     def mean(self) -> float:
         return 0.0
@@ -228,6 +258,9 @@ class Exponential(ScalarLaw):
 
     def sample(self, gen: np.random.Generator, size):
         return gen.standard_exponential(size) / self.rate
+
+    def sample_sums(self, gen: np.random.Generator, n: int, size):
+        return gen.standard_gamma(n, size) / self.rate
 
     def ppf(self, u):
         return -np.log1p(-np.asarray(u, dtype=float)) / self.rate
@@ -313,6 +346,10 @@ class VectorLaw:
     def draw_rows(self, gen: np.random.Generator, n: int) -> np.ndarray:
         raise NotImplementedError
 
+    def sample_sums(self, gen: np.random.Generator, n: int, reps: int):
+        """(reps, dim) column sums of n rows each, or None without a closed form."""
+        return None
+
     @property
     def dim(self) -> int:
         raise NotImplementedError
@@ -354,6 +391,9 @@ class IidCoordinates(VectorLaw):
 
     def draw_rows(self, gen: np.random.Generator, n: int) -> np.ndarray:
         return np.asarray(self.marginal.sample(gen, (n, self.p)), dtype=float)
+
+    def sample_sums(self, gen: np.random.Generator, n: int, reps: int):
+        return self.marginal.sample_sums(gen, n, (reps, self.p))
 
     @property
     def dim(self) -> int:

@@ -130,6 +130,17 @@ def test_run_re_many_cone_trials_fits_in_memory(tmp_path):
     assert row["satisfied"] == "1" and float(row["margin"]) >= 0.0
 
 
+def test_run_clt_large_n_fits_in_memory(tmp_path):
+    # exponential coordinates draw their column sums directly; 200
+    # replications of 1e8 rows of 50 would take 37 GiB as rows
+    cfg = _write_config(
+        tmp_path, "experiment = clt\nlaw = exponential\nq = 50\n"
+        "n = 100000000\nstat_reps = 200\nreps = 1\n"
+    )
+    done = _run_capped(cfg, tmp_path / "out", 1 << 30)
+    assert done.returncode == 0, done.stderr
+
+
 def test_import_does_not_load_scipy_stats():
     # scipy.stats takes most of a run's start-up time; no module needs it
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))

@@ -197,6 +197,8 @@ def test_parse_config_reports_line_numbers():
     ("experiment = rip\np = 4\nk = 5\n", "exceeds p"),
     ("experiment = rip\np = 60\nk = 6\n", "too many to enumerate"),
     ("experiment = re\np = 4\nk = 5\n", "exceeds p"),
+    ("experiment = re\ncone_delta = 1e300\np = 3\nk = 2\nn = 5\n",
+     "cone_delta=1e\\+300 can overflow .* at most"),
     ("experiment = lasso\np = 4\nk = 5\n", "exceeds p"),
     ("experiment = lasso\nnoise = pareto\npareto_shape = 1.5\n",
      "must exceed 2"),

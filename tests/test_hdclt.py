@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+from subweibull import experiments as ex
 from subweibull.covariance import centered_cov
 from subweibull.hdclt import (
     data_max_sample,
@@ -19,6 +20,7 @@ from subweibull.samplers import (
     Exponential,
     Gaussian,
     IidCoordinates,
+    Pareto,
     RngStream,
     SymmetricWeibull,
     VectorLaw,
@@ -78,6 +80,74 @@ def test_data_max_sample_centers_at_population_means():
         data_max_sample(law, 10, 0, RngStream(1, 0))
     with pytest.raises(ValueError, match="n must be"):
         data_max_sample(law, 0, 4, RngStream(1, 0))
+
+
+def _row_loop(law, n, reps, rng):
+    """The explicit per-replication max_statistic loop over drawn rows."""
+    gen = rng.generator()
+    return np.array([max_statistic(law.draw_rows(gen, n), law.coordinate_means)
+                     for _ in range(reps)])
+
+
+def _row_max_average(alpha, n, q, rng):
+    x = SymmetricWeibull(alpha).sample(rng.generator(), (n, q))
+    return float(np.max(np.abs(x.mean(axis=0))))
+
+
+_CLOSED_LAWS = (Exponential(2.0), Gaussian(1.5), SymmetricWeibull(1.0))
+_ROW_ONLY_LAWS = (SymmetricWeibull(0.5), SymmetricWeibull(2.0), Pareto(4.5))
+
+
+@pytest.mark.parametrize("marginal", _CLOSED_LAWS, ids=repr)
+def test_data_max_sample_sums_path_equal_in_law(marginal):
+    # two-sample KS of the sums path against the row loop on an
+    # independent stream; seeds fixed before the p-values were seen
+    law = IidCoordinates(marginal, 20)
+    sums = data_max_sample(law, 50, 4000, RngStream(31, 0))
+    rows = _row_loop(law, 50, 4000, RngStream(31, 1))
+    assert sps.ks_2samp(sums, rows).pvalue > 0.001
+
+
+def test_tailcheck_sums_path_equal_in_law():
+    point = {"alpha": 1.0, "n": 100, "q": 10}
+    reps = 4000
+    sums = [ex._tailcheck_task(None, point, rep, RngStream(32, 8 * rep))["max_average"]
+            for rep in range(reps)]
+    rows = [_row_max_average(1.0, 100, 10, RngStream(33, 8 * rep))
+            for rep in range(reps)]
+    assert sps.ks_2samp(sums, rows).pvalue > 0.001
+
+
+@pytest.mark.parametrize("marginal", _CLOSED_LAWS, ids=repr)
+def test_sample_sums_moments(marginal):
+    n, size = 30, 200_000
+    sums = marginal.sample_sums(RngStream(34, 0).generator(), n, size)
+    mean, var = n * marginal.mean, n * marginal.variance
+    # standard errors: sqrt(var / size) for the mean, and for the
+    # variance var * sqrt((2 + excess kurtosis / n) / size), the excess
+    # being at most 6 (Exponential) among these laws
+    assert abs(sums.mean() - mean) <= 5.0 * math.sqrt(var / size)
+    assert abs(sums.var() / var - 1.0) <= 5.0 * math.sqrt((2.0 + 6.0 / n) / size)
+    block = IidCoordinates(marginal, 3).sample_sums(RngStream(34, 1).generator(), n, 7)
+    assert block.shape == (7, 3)
+
+
+@pytest.mark.parametrize("marginal", _ROW_ONLY_LAWS, ids=repr)
+def test_laws_without_closed_sums_keep_the_row_path(marginal):
+    gen = RngStream(35, 0).generator()
+    assert marginal.sample_sums(gen, 10, 3) is None
+    law = IidCoordinates(marginal, 6)
+    assert law.sample_sums(gen, 10, 3) is None
+    sample = data_max_sample(law, 40, 50, RngStream(35, 1))
+    assert np.array_equal(sample, _row_loop(law, 40, 50, RngStream(35, 1)))
+
+
+def test_tailcheck_row_path_is_unchanged():
+    point = {"alpha": 0.5, "n": 100, "q": 10}
+    for rep in range(5):
+        stream = RngStream(36, 8 * rep)
+        row = ex._tailcheck_task(None, point, rep, stream)
+        assert row["max_average"] == _row_max_average(0.5, 100, 10, stream)
 
 
 def test_gaussian_analog_zero_matrix():
