@@ -386,7 +386,7 @@ def cone_min_oracle(sigma_hat, s, delta, trials, rng: RngStream) -> float:
     uniform) in blocks of about 2^20 floats and returns the smallest
     theta' Sigma theta / theta' theta.  Used to falsify restricted
     eigenvalue verdicts, never to certify.  A quotient that overflows
-    (theta' theta <= 1 + |S| delta^2) raises ValueError rather than
+    (theta' theta <= 1 + |S| delta^2) raises OverflowError rather than
     returning a bound that can never falsify.
     """
     sigma_hat = _require_symmetric(sigma_hat, "sigma_hat")
@@ -412,7 +412,7 @@ def cone_min_oracle(sigma_hat, s, delta, trials, rng: RngStream) -> float:
             quad = np.einsum("ij,ij->i", theta @ sigma_hat, theta)
             ratios = quad / np.einsum("ij,ij->i", theta, theta)
         if not np.isfinite(ratios).all():
-            raise ValueError(
+            raise OverflowError(
                 f"cone quotient overflowed at delta={delta:g}; "
                 "lower delta or rescale sigma_hat"
             )

@@ -9,12 +9,16 @@ law into a p-dimensional row law with independent coordinates.
 
 Laws closed under convolution also draw the sum of n iid copies
 directly (``sample_sums``), so a statistic of column sums costs q draws
-per replication instead of n*q.  The closed forms, each exact in law:
+per replication instead of n*q.  Each sum law is itself sampled through
+its ``sample``; the closed forms, each exact in law:
 
-- ``Exponential(rate)``: ``standard_gamma(n, size) / rate``;
-- ``Gaussian(sigma)``: ``sigma * sqrt(n) * standard_normal(size)``;
-- ``SymmetricWeibull(1)`` (Laplace): ``standard_gamma(n, size)`` minus a
-  second ``standard_gamma(n, size)``, the positive block drawn first.
+- ``Exponential(rate)``: ``Gamma(n, rate)``, i.e.
+  ``standard_gamma(n, size) / rate``;
+- ``Gaussian(sigma)``: ``Gaussian(sigma * sqrt(n))``, i.e.
+  ``sigma * sqrt(n) * standard_normal(size)``;
+- ``SymmetricWeibull(1)`` (Laplace): ``Gamma(n)`` minus a second
+  ``Gamma(n)``, the positive block of ``standard_gamma(n, size)`` drawn
+  first.
 
 Every other law, ``SymmetricWeibull`` at alpha != 1 and ``Pareto``
 included, returns None and callers draw the rows.  ``IidCoordinates``
@@ -42,6 +46,7 @@ __all__ = [
     "SymmetricWeibull",
     "Gaussian",
     "Exponential",
+    "Gamma",
     "Pareto",
     "VectorLaw",
     "IidCoordinates",
@@ -169,8 +174,9 @@ class SymmetricWeibull(ScalarLaw):
             return None
         # Laplace = E1 - E2, so n copies sum to Gamma(n) - Gamma(n); the
         # positive block is drawn first.
-        positive = gen.standard_gamma(n, size)
-        return positive - gen.standard_gamma(n, size)
+        gamma = Gamma(n)
+        positive = gamma.sample(gen, size)
+        return positive - gamma.sample(gen, size)
 
     def ppf(self, u):
         u = np.asarray(u, dtype=float)
@@ -218,7 +224,7 @@ class Gaussian(ScalarLaw):
         return self.sigma * gen.standard_normal(size)
 
     def sample_sums(self, gen: np.random.Generator, n: int, size):
-        return self.sigma * math.sqrt(n) * gen.standard_normal(size)
+        return Gaussian(self.sigma * math.sqrt(n)).sample(gen, size)
 
     @property
     def mean(self) -> float:
@@ -260,7 +266,7 @@ class Exponential(ScalarLaw):
         return gen.standard_exponential(size) / self.rate
 
     def sample_sums(self, gen: np.random.Generator, n: int, size):
-        return gen.standard_gamma(n, size) / self.rate
+        return Gamma(n, self.rate).sample(gen, size)
 
     def ppf(self, u):
         return -np.log1p(-np.asarray(u, dtype=float)) / self.rate
@@ -285,6 +291,40 @@ class Exponential(ScalarLaw):
     def psi_norm(self):
         # E exp(X/eta) = rate/(rate - 1/eta) = 2 at eta = 2/rate.
         return 2.0 / self.rate
+
+
+@dataclass(frozen=True)
+class Gamma(ScalarLaw):
+    """Gamma law with the given shape and rate (mean shape/rate).
+
+    The sum of n iid ``Exponential(rate)`` is ``Gamma(n, rate)``, which
+    is what the exponential and Laplace column sums draw.
+    """
+
+    shape: float
+    rate: float = 1.0
+
+    def __post_init__(self) -> None:
+        if not self.shape > 0.0:
+            raise ValueError("shape must be positive")
+        if not self.rate > 0.0:
+            raise ValueError("rate must be positive")
+
+    def sample(self, gen: np.random.Generator, size):
+        return gen.standard_gamma(self.shape, size) / self.rate
+
+    @property
+    def mean(self) -> float:
+        return self.shape / self.rate
+
+    @property
+    def variance(self) -> float:
+        return self.shape / self.rate**2
+
+    @property
+    def fourth_moment(self) -> float:
+        a = self.shape
+        return a * (a + 1.0) * (a + 2.0) * (a + 3.0) / self.rate**4
 
 
 @dataclass(frozen=True)

@@ -53,6 +53,17 @@ def test_run_missing_file_exits_4(tmp_path, capsys):
     assert "cannot read config" in capsys.readouterr().err
 
 
+def test_run_re_cone_overflow_exits_2(tmp_path, capsys):
+    # cone_delta passes the parse-time bound on theta'theta, but at this
+    # seed the sample's gram matrix pushes theta' Sigma theta past inf
+    cfg = _write_config(
+        tmp_path, "experiment = re\ncone_delta = 6e153\np = 3\nk = 2\n"
+        "n = 5\nreps = 1\nseed = 3\n"
+    )
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "cone quotient overflowed" in capsys.readouterr().err
+
+
 def test_run_invariant_violation_exits_3(tmp_path, capsys):
     spec = ex.REGISTRY["norms"]
 

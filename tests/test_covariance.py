@@ -292,7 +292,7 @@ def test_cone_min_oracle():
     with pytest.raises(ValueError):
         cv.cone_min_oracle(np.eye(2), [0], 0.5, 10, sp.RngStream(0, 0))
     # theta'theta overflows: a nan quotient must not pass as an inf bound
-    with pytest.raises(ValueError, match="overflowed"):
+    with pytest.raises(OverflowError, match="overflowed"):
         cv.cone_min_oracle(np.eye(3), [0, 1], 1e300, 10, sp.RngStream(0, 0))
 
 

@@ -109,13 +109,34 @@ def test_data_max_sample_sums_path_equal_in_law(marginal):
 
 
 def test_tailcheck_sums_path_equal_in_law():
+    # the tail gate's alpha = 1 statistic max|S| / n from column sums
+    # against the tailcheck task, which draws its rows
     point = {"alpha": 1.0, "n": 100, "q": 10}
     reps = 4000
-    sums = [ex._tailcheck_task(None, point, rep, RngStream(32, 8 * rep))["max_average"]
-            for rep in range(reps)]
-    rows = [_row_max_average(1.0, 100, 10, RngStream(33, 8 * rep))
+    gen = RngStream(32, 0).generator()
+    sums = np.max(np.abs(SymmetricWeibull(1.0).sample_sums(gen, 100, (reps, 10))),
+                  axis=1) / 100
+    rows = [ex._tailcheck_task(None, point, rep, RngStream(33, 8 * rep))["max_average"]
             for rep in range(reps)]
     assert sps.ks_2samp(sums, rows).pvalue > 0.001
+
+
+def test_sample_sums_stream_contract():
+    # each sum law draws through the generator in a fixed order
+    n, size = 7, (3, 4)
+
+    def draw(law):
+        return law.sample_sums(RngStream(37, 0).generator(), n, size)
+
+    gen = RngStream(37, 0).generator()
+    assert np.array_equal(draw(Exponential(2.0)), gen.standard_gamma(n, size) / 2.0)
+    gen = RngStream(37, 0).generator()
+    assert np.array_equal(draw(Gaussian(1.5)),
+                          1.5 * math.sqrt(n) * gen.standard_normal(size))
+    gen = RngStream(37, 0).generator()
+    positive = gen.standard_gamma(n, size)
+    assert np.array_equal(draw(SymmetricWeibull(1.0)),
+                          positive - gen.standard_gamma(n, size))
 
 
 @pytest.mark.parametrize("marginal", _CLOSED_LAWS, ids=repr)
@@ -142,12 +163,13 @@ def test_laws_without_closed_sums_keep_the_row_path(marginal):
     assert np.array_equal(sample, _row_loop(law, 40, 50, RngStream(35, 1)))
 
 
-def test_tailcheck_row_path_is_unchanged():
-    point = {"alpha": 0.5, "n": 100, "q": 10}
+@pytest.mark.parametrize("alpha", (0.5, 1.0))
+def test_tailcheck_row_path_is_unchanged(alpha):
+    point = {"alpha": alpha, "n": 100, "q": 10}
     for rep in range(5):
         stream = RngStream(36, 8 * rep)
         row = ex._tailcheck_task(None, point, rep, stream)
-        assert row["max_average"] == _row_max_average(0.5, 100, 10, stream)
+        assert row["max_average"] == _row_max_average(alpha, 100, 10, stream)
 
 
 def test_gaussian_analog_zero_matrix():

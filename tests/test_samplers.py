@@ -43,6 +43,10 @@ def test_scalar_law_validation():
     with pytest.raises(ValueError):
         sp.Exponential(0.0)
     with pytest.raises(ValueError):
+        sp.Gamma(0.0)
+    with pytest.raises(ValueError):
+        sp.Gamma(2.0, rate=-1.0)
+    with pytest.raises(ValueError):
         sp.Pareto(-2.0)
     with pytest.raises(ValueError):
         sp.Pareto(2.0, scale=0.0)
@@ -81,6 +85,20 @@ def test_weibull_moments():
     m2 = float(np.mean(z**2))
     # Var(Z^2) = m4 - m2^2 = 20
     assert abs(m2 - 2.0) <= 4.0 * math.sqrt(20.0 / 10**6)
+
+
+def test_gamma_moments():
+    # Gamma(1, rate) is Exponential(rate); Gamma(n) is the sum of n copies
+    for rate in (0.5, 2.0):
+        one, exp = sp.Gamma(1.0, rate), sp.Exponential(rate)
+        assert (one.mean, one.variance) == (exp.mean, exp.variance)
+        assert one.fourth_moment == pytest.approx(exp.fourth_moment, rel=1e-12)
+    law = sp.Gamma(3.0)
+    z = law.sample(sp.RngStream(11, 11).generator(), 10**6)
+    assert (law.mean, law.variance) == (3.0, 3.0)
+    assert abs(float(np.mean(z)) - 3.0) <= 5.0 * math.sqrt(3.0 / 10**6)
+    # E Z^4 = 3 * 4 * 5 * 6
+    assert law.fourth_moment == pytest.approx(360.0, rel=1e-12)
 
 
 def test_analytic_psi_norm_metadata():
