@@ -52,8 +52,8 @@ def main() -> None:
 
     print("\nrestricted eigenvalue check at n=500, k=3")
     sigma = gram(x)
-    xi = float(np.linalg.eigvalsh(sigma)[0]) / 2000.0
-    report = re_check(sigma, xi, 3)
+    lambda_min = float(np.linalg.eigvalsh(sigma)[0])
+    report = re_check(lambda_min, lambda_min / 2000.0, 3)
     print(f"  lambda_min={report.lambda_min:.4f} xi={report.xi:.6f} "
           f"satisfied={report.satisfied} gamma_n={report.gamma_n:.4f}")
     if report.satisfied:

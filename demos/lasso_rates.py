@@ -41,8 +41,8 @@ def main() -> None:
     data, beta0, lam, fit = one_fit(800, RngStream(31, 0))
     nu = fit.beta - beta0
     sigma = gram(data.x)
-    xi = float(np.linalg.eigvalsh(sigma)[0]) / 2000.0
-    report = re_check(sigma, xi, K)
+    lambda_min = float(np.linalg.eigvalsh(sigma)[0])
+    report = re_check(lambda_min, lambda_min / 2000.0, K)
     limit = 3.0 * np.sqrt(K) * lam / report.gamma_n
     print(f"one fit at n=800: lam={lam:.4f} iterations={fit.iterations}")
     print(f"  kkt residual={fit.kkt_residual:.2e} "

@@ -6,35 +6,27 @@ norm.  Monte Carlo exceedance frequencies should sit below that curve
 at every t, usually far below since the constants are conservative.
 """
 
-import math
+import csv
+import tempfile
+from pathlib import Path
 
-import numpy as np
-
-from subweibull import (
-    BoundConstants,
-    RngStream,
-    SymmetricWeibull,
-    max_average_threshold,
-)
+from subweibull import parse_config, run
 
 
 def main() -> None:
-    reps = 5000
-    n, q = 200, 20
-    constants = BoundConstants()
-    for alpha in (0.5, 1.0, 2.0):
-        law = SymmetricWeibull(alpha)
-        gen = RngStream(11, 0).generator()
-        x = law.sample(gen, (reps, n, q))
-        maxima = np.max(np.abs(x.mean(axis=1)), axis=1)
-        print(f"alpha={alpha}, n={n}, q={q}, {reps} replications")
-        for t in (0.5, 1.0, 2.0, 4.0):
-            threshold, prob = max_average_threshold(
-                law.variance, law.psi_norm, n, q, alpha, t, constants)
-            freq = float(np.mean(maxima >= threshold))
-            se = math.sqrt(max(freq * (1.0 - freq), 1e-12) / reps)
-            print(f"  t={t:<4} threshold={threshold:.4f} "
-                  f"bound={prob:.4f} observed={freq:.4f} (se {se:.4f})")
+    with tempfile.TemporaryDirectory() as out:
+        run(parse_config(
+            "experiment = tailcheck\nalpha = 0.5, 1, 2\nn = 200\nq = 20\n"
+            f"t = 0.5, 1, 2, 4\nreps = 5000\nseed = 11\noutput_dir = {out}\n"))
+        with open(Path(out) / "results.csv", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+    print("n=200, q=20, 5000 replications per alpha")
+    for row in rows:
+        print(f"  alpha={float(row['alpha']):<4} t={float(row['t']):<4} "
+              f"threshold={float(row['threshold']):.4f} "
+              f"bound={float(row['bound_prob']):.4f} "
+              f"observed={float(row['frequency']):.4f} "
+              f"(se {float(row['mc_se']):.4f})")
 
 
 if __name__ == "__main__":

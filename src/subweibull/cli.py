@@ -1,7 +1,8 @@
 """Command line front end for the experiment runner.
 
-Exit codes: 0 success, 2 configuration problem, 3 a certified
-invariant failed on concrete data, 4 filesystem trouble.
+Exit codes: 0 success, 2 configuration problem (a config too big for
+the memory available included), 3 a certified invariant failed on
+concrete data, 4 filesystem trouble.
 """
 
 from __future__ import annotations
@@ -80,6 +81,8 @@ def main(argv=None) -> int:
         manifest = run(config)
     except ConfigError as exc:
         return _fail(2, str(exc))
+    except MemoryError as exc:
+        return _fail(2, f"config needs more memory than is available: {exc}")
     except InvariantViolation as exc:
         return _fail(3, f"invariant violation: {exc}")
     except OSError as exc:

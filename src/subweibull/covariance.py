@@ -348,15 +348,15 @@ def xi_bound(params: RsConvexityParams) -> float:
     return first + second
 
 
-def re_check(sigma: np.ndarray, xi: float, k: int) -> ReReport:
-    """Restricted eigenvalue verdict: satisfied iff lambda_min >= 1782 xi,
-    in which case the restricted eigenvalue is at least lambda_min / 2."""
-    sigma = _require_symmetric(sigma, "sigma")
+def re_check(lambda_min: float, xi: float, k: int) -> ReReport:
+    """Restricted eigenvalue verdict for a gram matrix whose smallest
+    eigenvalue is lambda_min: satisfied iff lambda_min >= 1782 xi, in
+    which case the restricted eigenvalue is at least lambda_min / 2."""
     if xi < 0.0:
         raise ValueError("xi must be nonnegative")
     if k < 1:
         raise ValueError("k must be positive")
-    lambda_min = float(np.min(np.linalg.eigvalsh(sigma)))
+    lambda_min = float(lambda_min)
     satisfied = lambda_min >= 1782.0 * xi
     gamma_n = lambda_min / 2.0 if satisfied else 0.0
     return ReReport(lambda_min, float(xi), satisfied, gamma_n, int(k))

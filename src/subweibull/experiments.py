@@ -607,7 +607,7 @@ def _re_task(config, point, rep, stream):
         # below n = p the gram matrix is singular and eigvalsh may return
         # a lambda_min just under 0; the deviation xi stays nonnegative
         xi = max(lambda_min, 0.0) / config.options["xi_divisor"]
-    report = re_check(sigma, xi, k)
+    report = re_check(lambda_min, xi, k)
     row = {
         "lambda_min": lambda_min,
         "xi": xi,
@@ -680,10 +680,9 @@ def _lasso_noise(config):
     return Gaussian(config.options["sigma"])
 
 
-def _lasso_policy(config, point, noise, eps):
+def _lasso_policy(config, point, noise):
+    """The theory penalty rule; the empirical one is resolved in the task."""
     rule = config.options["lambda_rule"]
-    if rule == "empirical":
-        return EmpiricalOracle(eps)
     design = SymmetricWeibull(point["alpha"])
     sigma_np = math.sqrt(design.variance * noise.variance)
     if rule == "theory_subweibull":
@@ -717,11 +716,14 @@ def _lasso_task(config, point, rep, stream):
     noise = _lasso_noise(config)
     data = make_regression(design, beta0, noise, n, stream)
     problem = LassoProblem(data.x, data.y)
-    lam = _lasso_policy(config, point, noise, data.eps).resolve(problem)
+    empirical_lam = EmpiricalOracle(data.eps).resolve(problem)
+    if config.options["lambda_rule"] == "empirical":
+        lam = empirical_lam
+    else:
+        lam = _lasso_policy(config, point, noise).resolve(problem)
     fit = solve(problem, lam)
     nu = fit.beta - beta0
     l2 = float(np.linalg.norm(nu))
-    empirical_lam = 2.0 * float(np.max(np.abs(data.x.values.T @ data.eps / n)))
     applicable = lam >= empirical_lam * (1.0 - _SLACK)
     if applicable and not cone_membership(nu, range(k), beta0):
         raise InvariantViolation(
@@ -731,7 +733,7 @@ def _lasso_task(config, point, rep, stream):
     sigma = gram(data.x)
     lambda_min = float(np.linalg.eigvalsh(sigma)[0])
     xi = max(lambda_min, 0.0) / config.options["xi_divisor"]
-    report = re_check(sigma, xi, k)
+    report = re_check(lambda_min, xi, k)
     error_limit = math.nan
     if applicable and report.satisfied:
         error_limit = 3.0 * math.sqrt(k) * lam / report.gamma_n

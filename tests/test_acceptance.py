@@ -3,6 +3,20 @@
 Each test exercises one user-facing guarantee at desk scale with fixed
 streams, prints a single PASS/FAIL line with the measured numbers, and
 asserts the stated tolerance window.  Run with -s to see the lines.
+
+The gram rate, sparse operator rate, restricted eigenvalue, both Lasso,
+bootstrap coverage and Gaussian distance gates run registered
+experiments through ``ex.parse_config`` and ``ex.run`` (the path of
+``subweibull run``) and read every number they assert from its
+results.csv and summary.csv; a certificate that fails inside the run
+raises ``InvariantViolation``.  The other gates stay inline:
+
+- tail domination: the gate draws the closed-form column sums at
+  alpha = 1, while ``tailcheck`` draws n*q rows per task (the benchmark
+  counts them), which would put the gate back near its time budget;
+- the net certificate (random (p, n, k) instances), solver vs oracle,
+  the norm oracle and the norm suites are not grid sweeps;
+- rerun determinism already runs every experiment through ``ex.run``.
 """
 
 from __future__ import annotations
@@ -111,26 +125,31 @@ def test_max_average_tail_domination():
     assert elapsed < 300.0
 
 
-def _median_gram_error(p, n, reps, base):
-    law = sp.IidCoordinates(sp.SymmetricWeibull(1.0), p)
-    target = np.diag(law.coordinate_variances)
-    values = [
-        cv.max_elementwise_error(
-            cv.gram(sp.draw_matrix(law, n, sp.RngStream(SEED, base + 8 * rep))),
-            target)
-        for rep in range(reps)
-    ]
-    return float(np.median(values))
+def _run(out_dir, body):
+    """Run one config at SEED through the runner; its (results, summary) rows."""
+    ex.run(ex.parse_config(
+        body + f"seed = {SEED}\nworkers = 1\noutput_dir = {out_dir}\n"))
+    tables = []
+    for name in ("results.csv", "summary.csv"):
+        with open(out_dir / name, newline="") as handle:
+            tables.append(list(csv.DictReader(handle)))
+    return tables
 
 
-def test_gram_error_rate_and_dimension_scaling():
+def _slope(summary):
+    """(slope, slope_se) of a summary whose cells differ only in n."""
+    return float(summary[0]["slope"]), float(summary[0]["slope_se"])
+
+
+def test_gram_error_rate_and_dimension_scaling(tmp_path):
     t0 = time.perf_counter()
-    ns = (250, 500, 1000, 2000, 4000)
-    medians = [_median_gram_error(50, n, 200, 10_000_000 * i)
-               for i, n in enumerate(ns)]
-    slope, se = ex.fit_loglog(ns, medians)
-    ratio = (_median_gram_error(1000, 2000, 200, 70_000_000)
-             / _median_gram_error(10, 2000, 200, 60_000_000))
+    covariance = "experiment = covariance\nalpha = 1\nreps = 200\n"
+    _, rate = _run(tmp_path / "rate",
+                   covariance + "p = 50\nn = 250, 500, 1000, 2000, 4000\n")
+    slope, se = _slope(rate)
+    _, dims = _run(tmp_path / "dims", covariance + "p = 10, 1000\nn = 2000\n")
+    medians = {int(row["p"]): float(row["median_delta"]) for row in dims}
+    ratio = medians[1000] / medians[10]
     target = math.sqrt(math.log(1000.0) / math.log(10.0))
     rel = abs(ratio / target - 1.0)
     elapsed = time.perf_counter() - t0
@@ -173,19 +192,11 @@ def test_sparse_operator_net_certificate_and_monotonicity():
     assert elapsed < 60.0
 
 
-def test_sparse_operator_error_rate():
+def test_sparse_operator_error_rate(tmp_path):
     t0 = time.perf_counter()
-    law = sp.IidCoordinates(sp.SymmetricWeibull(1.0), 30)
-    target = np.diag(law.coordinate_variances)
-    ns = (500, 1000, 2000, 4000)
-    medians = []
-    for i, n in enumerate(ns):
-        values = []
-        for rep in range(100):
-            x = sp.draw_matrix(law, n, sp.RngStream(SEED, 10_000_000 * i + 8 * rep))
-            values.append(cv.rip_exact(cv.gram(x) - target, 2))
-        medians.append(float(np.median(values)))
-    slope, se = ex.fit_loglog(ns, medians)
+    _, summary = _run(tmp_path, "experiment = rip\nalpha = 1\np = 30\nk = 2\n"
+                      "n = 500, 1000, 2000, 4000\nreps = 100\n")
+    slope, se = _slope(summary)
     elapsed = time.perf_counter() - t0
     ok = -0.60 <= slope <= -0.40 and elapsed < 180.0
     _line("sparse operator error rate", ok,
@@ -194,108 +205,64 @@ def test_sparse_operator_error_rate():
     assert elapsed < 180.0
 
 
-def test_restricted_eigenvalue_never_falsified():
+def test_restricted_eigenvalue_never_falsified(tmp_path):
+    # a cone search below a satisfied verdict's gamma_n raises
+    # InvariantViolation inside the run
     t0 = time.perf_counter()
-    checked = satisfied = violations = 0
-    stream_id = 200_000
-    for alpha in (0.5, 1.0, 2.0):
-        for p in (6, 12):
-            for k in (2, 3):
-                for n in (80, 400):
-                    law = sp.IidCoordinates(sp.SymmetricWeibull(alpha), p)
-                    for rep in range(5):
-                        x = sp.draw_matrix(law, n, sp.RngStream(SEED, stream_id))
-                        sigma = cv.gram(x)
-                        lam_min = float(np.linalg.eigvalsh(sigma)[0])
-                        for divisor in (2000.0, 5.0):
-                            report = cv.re_check(sigma, lam_min / divisor, k)
-                            checked += 1
-                            if not report.satisfied:
-                                continue
-                            satisfied += 1
-                            found = cv.cone_min_oracle(
-                                sigma, range(k), 3.0, 10_000,
-                                sp.RngStream(SEED, stream_id + 1))
-                            if found < report.gamma_n - 1e-12:
-                                violations += 1
-                        stream_id += 8
+    checked = satisfied = 0
+    margins = []
+    for divisor in (2000, 5):
+        _, summary = _run(
+            tmp_path / str(divisor),
+            "experiment = re\nalpha = 0.5, 1, 2\np = 6, 12\nk = 2, 3\n"
+            f"n = 80, 400\nreps = 5\ncone_trials = 10000\nxi_divisor = {divisor}\n")
+        for row in summary:
+            checked += int(row["checked"])
+            satisfied += int(row["satisfied_count"])
+            if int(row["satisfied_count"]):
+                margins.append(float(row["min_margin"]))
+    min_margin = min(margins, default=math.nan)
     elapsed = time.perf_counter() - t0
-    ok = violations == 0 and satisfied > 0 and elapsed < 120.0
+    ok = satisfied > 0 and elapsed < 120.0
     _line("restricted eigenvalue never falsified", ok,
-          f"checked={checked} satisfied={satisfied} violations={violations} "
+          f"checked={checked} satisfied={satisfied} min_margin={min_margin:.3f} "
           f"time={elapsed:.0f}s")
-    assert violations == 0
     assert satisfied > 0
     assert elapsed < 120.0
 
 
-def test_lasso_deterministic_bound_conformance():
+def test_lasso_deterministic_bound_conformance(tmp_path):
+    # the run raises InvariantViolation on a cone or error-bound failure
     t0 = time.perf_counter()
-    law = sp.IidCoordinates(sp.SymmetricWeibull(1.0), 200)
-    beta0 = np.zeros(200)
-    beta0[:5] = 1.0
-    cone_fail = bound_fail = re_passes = 0
-    min_slack = math.inf
-    for rep in range(200):
-        data = sp.make_regression(law, beta0, sp.Gaussian(1.0), 2000,
-                                  sp.RngStream(SEED, 8 * rep))
-        problem = ls.LassoProblem(data.x, data.y)
-        lam = ls.EmpiricalOracle(data.eps).resolve(problem)
-        fit = ls.solve(problem, lam)
-        nu = fit.beta - beta0
-        if not ls.cone_membership(nu, range(5), beta0):
-            cone_fail += 1
-        sigma = cv.gram(data.x)
-        report = cv.re_check(sigma, float(np.linalg.eigvalsh(sigma)[0]) / 2000.0, 5)
-        if report.satisfied:
-            re_passes += 1
-            limit = 3.0 * math.sqrt(5.0) * lam / report.gamma_n
-            l2 = float(np.linalg.norm(nu))
-            min_slack = min(min_slack, limit - l2)
-            if l2 > limit + 1e-12:
-                bound_fail += 1
+    results, _ = _run(tmp_path, "experiment = lasso\np = 200\nk = 5\nn = 2000\n"
+                      "reps = 200\n")
+    applicable = sum(row["applicable"] == "1" for row in results)
+    slacks = [float(row["error_limit"]) - float(row["l2_error"])
+              for row in results if row["re_satisfied"] == "1"]
+    re_passes = len(slacks)
+    min_slack = min(slacks, default=math.nan)
     elapsed = time.perf_counter() - t0
-    ok = cone_fail == 0 and bound_fail == 0 and re_passes > 0 and elapsed < 300.0
+    ok = applicable == 200 and re_passes > 0 and elapsed < 300.0
     _line("lasso deterministic bound conformance", ok,
-          f"replications=200 cone_failures={cone_fail} re_passes={re_passes} "
-          f"bound_failures={bound_fail} min_slack={min_slack:.3f} "
-          f"time={elapsed:.0f}s")
-    assert cone_fail == 0
-    assert bound_fail == 0
+          f"replications={len(results)} cone_checked={applicable} "
+          f"re_passes={re_passes} min_slack={min_slack:.3f} time={elapsed:.0f}s")
+    assert applicable == 200
     assert re_passes > 0
     assert elapsed < 300.0
 
 
-def _median_lasso_error(k, n, base, noise):
-    law = sp.IidCoordinates(sp.SymmetricWeibull(1.0), 200)
-    beta0 = np.zeros(200)
-    beta0[:k] = 1.0
-    values = []
-    for rep in range(200):
-        data = sp.make_regression(law, beta0, noise, n,
-                                  sp.RngStream(SEED, base + 8 * rep))
-        problem = ls.LassoProblem(data.x, data.y)
-        lam = ls.EmpiricalOracle(data.eps).resolve(problem)
-        fit = ls.solve(problem, lam)
-        values.append(float(np.linalg.norm(fit.beta - beta0)))
-    return float(np.median(values))
-
-
-def test_lasso_error_rate_and_sparsity_scaling():
+def test_lasso_error_rate_and_sparsity_scaling(tmp_path):
     t0 = time.perf_counter()
-    ns = (500, 1000, 2000, 4000, 8000)
-    gaussian = sp.Gaussian(1.0)
-    medians = [_median_lasso_error(5, n, 100_000_000 * i, gaussian)
-               for i, n in enumerate(ns)]
-    slope, se = ex.fit_loglog(ns, medians)
-    ratio = (_median_lasso_error(8, 4000, 700_000_000, gaussian)
-             / _median_lasso_error(2, 4000, 600_000_000, gaussian))
+    lasso = "experiment = lasso\np = 200\nreps = 200\n"
+    ns = "n = 500, 1000, 2000, 4000, 8000\n"
+    _, rate = _run(tmp_path / "rate", lasso + "k = 5\n" + ns)
+    slope, se = _slope(rate)
+    _, sparsity = _run(tmp_path / "sparsity", lasso + "k = 2, 8\nn = 4000\n")
+    medians = {int(row["k"]): float(row["median_l2_error"]) for row in sparsity}
+    ratio = medians[8] / medians[2]
     rel = abs(ratio / 2.0 - 1.0)
-    pareto_medians = [
-        _median_lasso_error(5, n, 800_000_000 + 10_000_000 * i, sp.Pareto(4.5))
-        for i, n in enumerate(ns)
-    ]
-    pareto_slope, pareto_se = ex.fit_loglog(ns, pareto_medians)
+    _, pareto = _run(tmp_path / "pareto", lasso + "k = 5\nnoise = pareto\n" + ns)
+    pareto_slope, pareto_se = _slope(pareto)
     elapsed = time.perf_counter() - t0
     ok = (-0.60 <= slope <= -0.40 and rel <= 0.30
           and -0.60 <= pareto_slope <= -0.40 and elapsed < 600.0)
@@ -343,23 +310,15 @@ def test_solver_matches_independent_oracle():
     assert elapsed < 60.0
 
 
-def _bootstrap_coverage(law_lines, out_dir):
-    config = ex.parse_config(
-        "experiment = bootstrap\n" + law_lines
-        + f"n = 500\nnominal = 0.9\nreps = 1000\ndraws = 500\nseed = {SEED}\n"
-        + f"workers = 1\noutput_dir = {out_dir}\n")
-    ex.run(config)
-    with open(out_dir / "summary.csv", newline="") as handle:
-        row = next(csv.DictReader(handle))
-    return float(row["coverage"]), float(row["mc_se"])
-
-
 def test_bootstrap_coverage(tmp_path):
     t0 = time.perf_counter()
-    coverage, mc_se = _bootstrap_coverage(
-        "law = weibull\nalpha = 1\nq = 100\n", tmp_path / "weibull")
-    coverage1, mc_se1 = _bootstrap_coverage(
-        "law = gaussian\nq = 1\n", tmp_path / "gaussian")
+    bootstrap = ("experiment = bootstrap\nn = 500\nnominal = 0.9\nreps = 1000\n"
+                 "draws = 500\n")
+    _, (weibull,) = _run(tmp_path / "weibull",
+                         bootstrap + "law = weibull\nalpha = 1\nq = 100\n")
+    _, (gaussian,) = _run(tmp_path / "gaussian", bootstrap + "law = gaussian\nq = 1\n")
+    coverage, mc_se = float(weibull["coverage"]), float(weibull["mc_se"])
+    coverage1, mc_se1 = float(gaussian["coverage"]), float(gaussian["mc_se"])
     elapsed = time.perf_counter() - t0
     dev1 = abs(coverage1 - 0.90)
     ok = (abs(coverage - 0.90) <= 0.04 and dev1 <= 4.0 * mc_se1
@@ -373,21 +332,12 @@ def test_bootstrap_coverage(tmp_path):
     assert elapsed < 600.0
 
 
-def test_max_statistic_gaussian_distance_trend():
+def test_max_statistic_gaussian_distance_trend(tmp_path):
     t0 = time.perf_counter()
-    law = sp.IidCoordinates(sp.Exponential(1.0), 50)
-    sigma = np.diag(law.coordinate_variances)
-    ns = (250, 500, 1000, 2000, 4000)
-    medians = {}
-    for ni, n in enumerate(ns):
-        values = []
-        for run in range(20):
-            base = 10_000_000 * ni + 8 * run
-            data = hc.data_max_sample(law, n, 2000, sp.RngStream(SEED, base))
-            analog = hc.gaussian_analog_sample(sigma, 2000,
-                                               sp.RngStream(SEED, base + 1))
-            values.append(hc.rho_rectangle_proxy(data, analog, grid=4000))
-        medians[n] = float(np.median(values))
+    _, summary = _run(tmp_path, "experiment = clt\nlaw = exponential\nq = 50\n"
+                      "n = 250, 500, 1000, 2000, 4000\nstat_reps = 2000\n"
+                      "rho_grid = 4000\nreps = 20\n")
+    medians = {int(row["n"]): float(row["median_rho"]) for row in summary}
 
     bound_fail = 0
     gen = np.random.default_rng(SEED)
@@ -407,7 +357,7 @@ def test_max_statistic_gaussian_distance_trend():
                 and up_l > base_bound and up_k > base_bound):
             bound_fail += 1
     elapsed = time.perf_counter() - t0
-    sequence = " ".join(f"{n}:{medians[n]:.4f}" for n in ns)
+    sequence = " ".join(f"{n}:{rho:.4f}" for n, rho in medians.items())
     ok = medians[4000] < medians[250] and bound_fail == 0 and elapsed < 300.0
     _line("max statistic gaussian distance trend", ok,
           f"median rho {sequence} endpoint_decrease="

@@ -152,6 +152,22 @@ def test_run_clt_large_n_fits_in_memory(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
+@pytest.mark.parametrize("body", [
+    "experiment = clt\nlaw = weibull\nalpha = 0.5\nq = 50\nn = 100000000\n"
+    "stat_reps = 200\nreps = 1\n",
+    "experiment = tailcheck\nalpha = 0.5\nq = 50\nn = 100000000\nt = 1\n"
+    "reps = 1\n",
+], ids=["clt", "tailcheck"])
+def test_run_too_big_for_memory_exits_2(tmp_path, body):
+    # alpha = 0.5 has no closed-form column sums, so each task asks for
+    # 1e8 rows of 50 at once: 37 GiB
+    cfg = _write_config(tmp_path, body)
+    done = _run_capped(cfg, tmp_path / "out", 1 << 30)
+    assert done.returncode == 2, done.stderr
+    assert "Traceback" not in done.stderr
+    assert "more memory" in done.stderr
+
+
 def test_import_does_not_load_scipy_stats():
     # scipy.stats takes most of a run's start-up time; no module needs it
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))

@@ -263,15 +263,17 @@ def test_xi_bound_values():
 
 
 def test_re_check_examples():
-    report = cv.re_check(np.eye(3), 0.0, 2)
+    report = cv.re_check(1.0, 0.0, 2)
     assert report.satisfied and report.gamma_n == 0.5
-    assert report.lambda_min == pytest.approx(1.0)
-    report = cv.re_check(np.eye(3), 1.0, 2)
+    assert report.lambda_min == 1.0
+    report = cv.re_check(1.0, 1.0, 2)
     assert not report.satisfied and report.gamma_n == 0.0
-    report = cv.re_check(np.diag([2.0, 3.0]), 0.001, 1)
+    report = cv.re_check(2.0, 0.001, 1)
     assert report.satisfied and report.gamma_n == 1.0
     with pytest.raises(ValueError):
-        cv.re_check(np.array([[1.0, 0.5], [0.0, 1.0]]), 0.0, 1)
+        cv.re_check(1.0, -1.0, 1)
+    with pytest.raises(ValueError):
+        cv.re_check(1.0, 0.0, 0)
 
 
 def test_cone_min_oracle():
@@ -322,7 +324,7 @@ def test_re_verdicts_never_falsified():
     for trial in range(5):
         x = gen.standard_normal((60, 5))
         sigma_hat = x.T @ x / 60.0
-        report = cv.re_check(sigma_hat, 1e-6, 2)
+        report = cv.re_check(float(np.linalg.eigvalsh(sigma_hat)[0]), 1e-6, 2)
         assert report.satisfied
         floor = cv.cone_min_oracle(
             sigma_hat, [0, 1], 3.0, 400, sp.RngStream(23, trial)

@@ -225,7 +225,8 @@ def test_cone_and_lemma_conformance():
         nu = fit.beta - beta0
         if not ls.cone_membership(nu, (0, 1, 2), beta0):
             violations += 1
-        report = cv.re_check(cv.gram(problem.x), 1e-9, k)
+        lambda_min = float(np.linalg.eigvalsh(cv.gram(problem.x))[0])
+        report = cv.re_check(lambda_min, 1e-9, k)
         assert report.satisfied
         if float(np.linalg.norm(nu)) > 3.0 * math.sqrt(k) * lam / report.gamma_n:
             violations += 1
