@@ -88,6 +88,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         return _fail(4, f"i/o failure: {exc}")
 
+    for note in manifest.notes:
+        print(f"warning: {note}", file=sys.stderr)
     print(manifest.output_dir)
     for entry in manifest.files:
         print(f"  {entry['name']}  sha256={entry['sha256'][:12]}  "

@@ -25,7 +25,7 @@ import json
 import math
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -186,6 +186,9 @@ class RunManifest:
     output_dir: str
     config_echo: dict
     files: tuple
+    # Warnings about a batch that completed, e.g. solver fits that did
+    # not converge; the CLI prints each to stderr.
+    notes: tuple = ()
 
 
 def _parse_float(key: str, raw: str, lineno: int) -> float:
@@ -766,6 +769,7 @@ def _lasso_summary(config, points, nested):
             "median_l2_error": _median(rows, "l2_error"),
             "applicable_count": sum(row["applicable"] for row in rows),
             "all_converged": all(row["converged"] for row in rows),
+            "nonconverged": sum(not row["converged"] for row in rows),
         })
     _attach_slope(out, "n", ("alpha", "k", "n"), "median_l2_error")
     return out
@@ -1281,6 +1285,10 @@ def _execute(config: ExperimentConfig, spec: Experiment, points):
     else:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
             futures = [pool.submit(one, cell, rep) for cell, rep in pairs]
+            # On the first failure drop the tasks not yet started; the
+            # earliest failed task in submission order is then re-raised.
+            wait(futures, return_when=FIRST_EXCEPTION)
+            pool.shutdown(cancel_futures=True)
             for (cell, rep), future in zip(pairs, futures):
                 nested[cell][rep] = future.result()
     return nested
@@ -1358,6 +1366,11 @@ def run(config: ExperimentConfig) -> RunManifest:
                 result_rows.append({**point, "rep": rep,
                                     "stream": base + rep * _BLOCK, **row})
     summary_rows = spec.summarize(config, points, nested)
+    stalled = sum(row.get("nonconverged", 0) for row in summary_rows)
+    notes = ()
+    if stalled:
+        notes = (f"{stalled} of {len(points) * config.reps} fits did not "
+                 "converge (column nonconverged of summary.csv)",)
 
     results = _build_table(_decorate(config, result_rows))
     summary = _build_table(_decorate(config, summary_rows))
@@ -1389,6 +1402,7 @@ def run(config: ExperimentConfig) -> RunManifest:
         output_dir=str(out_dir),
         config_echo=_config_echo(config),
         files=tuple(files),
+        notes=notes,
     )
     manifest_path = out_dir / "manifest.json"
     manifest_path.write_text(

@@ -18,7 +18,7 @@ g(x) = exp(h^{-1}(x)) - 1 for an increasing shape h with h(0) = 0:
     h(u) = sqrt(u) + L * u^(1/alpha), the two-regime (Bernstein style)
     shape: Gaussian behaviour for small deviations, order-alpha tail
     beyond the crossover controlled by L.  g itself has no closed form
-    and is evaluated by inverting h.
+    and is evaluated by inverting h with a safeguarded Newton solve.
 
 ``gbo_phi``
     g(x) = exp(min{x^2, (x/L)^alpha}) - 1, the closed-form companion of
@@ -59,9 +59,15 @@ __all__ = [
 # limit are reported as inf rather than raising.
 _EXP_LIMIT = 709.0
 
-# A fixed iteration count makes the inner inversion deterministic and
-# accurate to float64 resolution (bracket width shrinks by 2^-64).
-_SHAPE_BISECT_STEPS = 64
+# The Newton solve of the two-regime shape stops once every step is this
+# many ulp of its iterate or less.
+_NEWTON_ULP = 4.0
+# Relative widening of the closed-form bracket of the two-regime root.
+_BRACKET_SLACK = 2.0 ** -20
+# Guard on the Newton loop.  The starting bracket is at most a factor 2
+# wide and a step leaving it falls back to bisection, so the loop ends
+# well before this in float64.
+_NEWTON_MAX_STEPS = 200
 
 
 class Family(enum.Enum):
@@ -192,6 +198,8 @@ def _shape(spec: OrliczSpec, u: np.ndarray) -> np.ndarray:
     if spec.family is Family.PSI_ALPHA:
         return u ** (1.0 / spec.alpha)
     if spec.family is Family.GBO_PSI:
+        if spec.scale_l == 0.0:
+            return np.sqrt(u)
         return np.sqrt(u) + spec.scale_l * u ** (1.0 / spec.alpha)
     return np.maximum(np.sqrt(u), spec.scale_l * u ** (1.0 / spec.alpha))
 
@@ -203,17 +211,54 @@ def _shape_inverse(spec: OrliczSpec, x: np.ndarray) -> np.ndarray:
         return x ** spec.alpha
     if spec.family is Family.GBO_PHI:
         return np.minimum(x ** 2, (x / spec.scale_l) ** spec.alpha)
+    return _two_regime_root(x, spec.alpha, spec.scale_l) ** 2
 
-    # The two-regime shape has no closed-form inverse; bisect on the
-    # bracket [0, x^2], where h(x^2) >= x.
-    hi = x ** 2
-    lo = np.zeros_like(x)
-    for _ in range(_SHAPE_BISECT_STEPS):
-        mid = 0.5 * (lo + hi)
-        too_small = _shape(spec, mid) < x
-        lo = np.where(too_small, mid, lo)
-        hi = np.where(too_small, hi, mid)
-    return 0.5 * (lo + hi)
+
+def _two_regime_root(x: np.ndarray, alpha: float, scale_l: float) -> np.ndarray:
+    """v >= 0 with v + L v^(2/alpha) = x, elementwise (v = sqrt(u)).
+
+    Safeguarded Newton.  The root lies in the bracket
+
+        [min(x/2, (x/2L)^(alpha/2)),  min(x, (x/L)^(alpha/2))]
+
+    (one of the two terms is at least x/2, and neither exceeds x).  The
+    left side f(v) = v + L v^p - x, p = 2/alpha, is convex for alpha <= 2
+    and concave above, so Newton started at the right end (convex) or
+    the left end (concave) approaches the root from one side.  A step
+    that leaves the bracket, which only rounding can cause, is replaced
+    by a bisection step.  Iteration stops when every step is within
+    _NEWTON_ULP ulp of its iterate.
+    """
+    if scale_l == 0.0:
+        return x.copy()
+    p = 2.0 / alpha
+    half = 0.5 * alpha
+    # Zero roots (x = 0) need no steps; a start or bisection step at v = 0
+    # gives an undefined slope, and the Newton step then falls back.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # The powers are rounded to within about 1e-13 relative, so the
+        # closed-form ends are widened by _BRACKET_SLACK to stay bounds.
+        lo = np.minimum(0.5 * x, (0.5 * x / scale_l) ** half) * (1.0 - _BRACKET_SLACK)
+        hi = np.minimum(x, (x / scale_l) ** half * (1.0 + _BRACKET_SLACK))
+        v = (hi if alpha <= 2.0 else lo).copy()
+        active = np.flatnonzero(x)
+        for _ in range(_NEWTON_MAX_STEPS):
+            if active.size == 0:
+                break
+            va, lo_a, hi_a = v[active], lo[active], hi[active]
+            power = va ** p
+            f = va + scale_l * power - x[active]
+            slope = 1.0 + scale_l * p * power / va
+            lo_a = np.where(f < 0.0, va, lo_a)
+            hi_a = np.where(f > 0.0, va, hi_a)
+            step = va - f / slope
+            outside = ~((step >= lo_a) & (step <= hi_a))
+            step[outside] = 0.5 * (lo_a[outside] + hi_a[outside])
+            done = np.abs(step - va) <= _NEWTON_ULP * np.spacing(va)
+            v[active] = step
+            lo[active], hi[active] = lo_a, hi_a
+            active = active[~done]
+    return v
 
 
 def _g_values(spec: OrliczSpec, x: np.ndarray) -> np.ndarray:
@@ -256,6 +301,47 @@ def _abs_sample(sample) -> np.ndarray:
     return x
 
 
+def _mean_g(spec: OrliczSpec, x: np.ndarray, xmax: float):
+    """eta -> mean_i g(x_i / eta) for a nonnegative sample with max xmax > 0.
+
+    Works in exponent space: g(x/eta) = expm1(h^{-1}(x/eta)), and for the
+    closed-form families h^{-1}(x/eta) is a fixed power of x times a power
+    of 1/eta.  The powers of x are taken once, on x / xmax so they neither
+    overflow nor underflow, and each call makes one pass over a reused
+    buffer.  Exponents past the float64 range give inf.
+    """
+    r = x / xmax
+    buf = np.empty_like(r)
+    alpha = spec.alpha
+    if spec.family is Family.PSI_ALPHA:
+        y = r ** alpha
+
+        def mean_g(eta: float) -> float:
+            np.multiply(y, (xmax / eta) ** alpha, out=buf)
+            return float(np.expm1(buf, out=buf).mean())
+
+    elif spec.family is Family.GBO_PHI:
+        squares = r * r
+        y = r ** alpha
+        tail = np.empty_like(r)
+
+        def mean_g(eta: float) -> float:
+            s = xmax / eta
+            np.multiply(squares, s * s, out=buf)
+            np.multiply(y, (s / spec.scale_l) ** alpha, out=tail)
+            np.minimum(buf, tail, out=buf)
+            return float(np.expm1(buf, out=buf).mean())
+
+    else:
+        def mean_g(eta: float) -> float:
+            np.divide(x, eta, out=buf)
+            v = _two_regime_root(buf, alpha, spec.scale_l)
+            np.square(v, out=v)
+            return float(np.expm1(v, out=v).mean())
+
+    return mean_g
+
+
 def empirical_norm(sample, spec: OrliczSpec, tol: float = 1e-6) -> NormEstimate:
     """Orlicz norm of the empirical distribution of ``sample``.
 
@@ -267,13 +353,18 @@ def empirical_norm(sample, spec: OrliczSpec, tol: float = 1e-6) -> NormEstimate:
     provably contains the norm (the left end forces the max term alone
     to mean 1; the right end caps every term at 1/m).
 
+    Each bisection step is one sweep in exponent space.  For psi_alpha
+    and gbo_phi the powers |x|^alpha (and |x|^2) are computed once, so a
+    sweep is a scaling, an expm1 and a mean over one reused buffer.  The
+    two-regime family has no closed form: each sweep solves
+    h(u) = |x_i|/eta by a safeguarded Newton iteration.
+
     Parameters
     ----------
     sample : array_like
         Finite real observations; signs are ignored.
     spec : OrliczSpec
-        Function family to use.  The two-regime family has no closed
-        form and costs an inner inversion per sample sweep.
+        Function family to use.
     tol : float
         Relative bisection tolerance on eta.
 
@@ -292,27 +383,28 @@ def empirical_norm(sample, spec: OrliczSpec, tol: float = 1e-6) -> NormEstimate:
 
     lo = xmax / eval_inverse(spec, float(m))
     hi = xmax / eval_inverse(spec, 1.0 / m)
+    sweep = _mean_g(spec, x, xmax)
     evaluations = 0
 
     def mean_g(eta: float) -> float:
         nonlocal evaluations
         evaluations += 1
-        vals = _g_values(spec, x / eta)
-        return float(np.mean(vals))
+        return sweep(eta)
 
-    # The bracket is analytic, but guard against float rounding at the ends.
-    for _ in range(64):
-        if mean_g(hi) <= 1.0:
-            break
-        hi *= 2.0
-    for _ in range(200):
-        if (hi - lo) <= 2.0 * tol * max(lo, np.finfo(float).tiny):
-            break
-        mid = 0.5 * (lo + hi)
-        if mean_g(mid) > 1.0:
-            lo = mid
-        else:
-            hi = mid
+    with np.errstate(over="ignore"):
+        # The bracket is analytic, but guard against float rounding at the ends.
+        for _ in range(64):
+            if mean_g(hi) <= 1.0:
+                break
+            hi *= 2.0
+        for _ in range(200):
+            if (hi - lo) <= 2.0 * tol * max(lo, np.finfo(float).tiny):
+                break
+            mid = 0.5 * (lo + hi)
+            if mean_g(mid) > 1.0:
+                lo = mid
+            else:
+                hi = mid
     return NormEstimate(
         value=0.5 * (lo + hi),
         tolerance=0.5 * (hi - lo),

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import csv
+import dataclasses
 import importlib
 import os
 import resource
@@ -40,6 +41,25 @@ def test_run_success_prints_artifacts(tmp_path, capsys):
     assert "results.csv" in out
     assert "sha256=" in out
     assert (tmp_path / "out" / "manifest.json").exists()
+
+
+def test_run_reports_nonconverged_fits(tmp_path, capsys, monkeypatch):
+    # A fit that stops short of its KKT tolerance leaves the exit code at
+    # 0 but is named once on stderr.
+    solve = ex.solve
+
+    def stalled_solve(problem, lam):
+        return dataclasses.replace(solve(problem, lam), converged=False)
+
+    monkeypatch.setattr(ex, "solve", stalled_solve)
+    cfg = _write_config(
+        tmp_path, "experiment = lasso\np = 12\nk = 2\nn = 150\nreps = 2\n")
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["warning: 2 of 2 fits did not converge "
+                   "(column nonconverged of summary.csv)"]
+    with open(tmp_path / "out" / "summary.csv", newline="") as handle:
+        assert [row["nonconverged"] for row in csv.DictReader(handle)] == ["2"]
 
 
 def test_run_bad_config_exits_2(tmp_path, capsys):

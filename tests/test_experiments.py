@@ -7,6 +7,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -417,12 +418,27 @@ def test_run_lasso_certificates_hold(tmp_path):
     text = ("experiment = lasso\nalpha = 1\nk = 2\nn = 150, 300\np = 12\n"
             "reps = 3\nseed = 9\n")
     manifest, out = _run(text, tmp_path)
+    assert manifest.notes == ()
     for row in _read_rows(out / "results.csv"):
         assert row["converged"] == "1"
         assert row["applicable"] == "1"
         limit = float(row["error_limit"])
         if not math.isnan(limit):
             assert float(row["l2_error"]) <= limit + 1e-9
+
+
+def test_lasso_summary_counts_nonconverged_fits():
+    config = _parse("experiment = lasso\nalpha = 1\nk = 2\nn = 100, 200\nreps = 3\n")
+    points = [{"alpha": 1.0, "k": 2, "n": 100}, {"alpha": 1.0, "k": 2, "n": 200}]
+
+    def row(converged):
+        return {"lam": 0.1, "l2_error": 0.5, "applicable": True,
+                "converged": converged}
+
+    nested = [[row(True), row(False), row(False)], [row(True)] * 3]
+    summary = ex._lasso_summary(config, points, nested)
+    assert [cell["nonconverged"] for cell in summary] == [2, 0]
+    assert [cell["all_converged"] for cell in summary] == [False, True]
 
 
 def test_run_rip_certified_column(tmp_path):
@@ -543,6 +559,37 @@ def test_run_propagates_invariant_violations(tmp_path):
             ex.run(dataclasses.replace(config, workers=2))
     finally:
         del ex.REGISTRY["boom"]
+
+
+def test_threaded_run_stops_at_first_failure(tmp_path):
+    # At workers = 2 a failed task must cancel the tasks not yet started
+    # instead of letting the whole batch run before the error surfaces.
+    spec = ex.REGISTRY["norms"]
+    calls = []
+
+    def first_fails(config, point, rep, stream):
+        calls.append(rep)
+        if rep == 0:
+            raise ex.InvariantViolation("first task fails")
+        time.sleep(0.01)
+        return {"estimate": 1.0}
+
+    ex.REGISTRY["first_fails"] = ex.Experiment(
+        name="first_fails", description="first task fails",
+        scan_keys=spec.scan_keys, grid_defaults=spec.grid_defaults,
+        options=(), task=first_fails, summarize=spec.summarize,
+    )
+    try:
+        config = _parse(
+            f"experiment = first_fails\nalpha = 1\nn = 100\nreps = 40\n"
+            f"workers = 2\noutput_dir = {tmp_path / 'x'}\n"
+        )
+        with pytest.raises(ex.InvariantViolation, match="first task fails"):
+            ex.run(config)
+    finally:
+        del ex.REGISTRY["first_fails"]
+    assert 0 in calls
+    assert len(calls) < 10
 
 
 def test_list_experiments_names():

@@ -147,6 +147,78 @@ def test_empirical_norm_exponential_analytic():
     assert est.value == pytest.approx(2.0, rel=0.02)
 
 
+SHAPE_POINTS = np.array([0.0, 1e-300, 1e-8, 1.0, 1e8, 1e150])
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 3.0])
+@pytest.mark.parametrize("l", [0.0, 0.3, 2.5])
+def test_shape_inverse_round_trip(alpha, l):
+    # The two-regime inverse is a Newton solve; h(h^{-1}(x)) must give x
+    # back within 4 ulp wherever u = h^{-1}(x) is a normal float.  At
+    # x = 1e-300 the root u is near 1e-600, below the float64 range.
+    spec = oz.OrliczSpec.gbo(alpha, l)
+    u = oz._shape_inverse(spec, SHAPE_POINTS)
+    assert u[0] == 0.0 and u[1] == 0.0
+    normal = u >= np.finfo(float).tiny
+    assert normal[2:].all()
+    back = oz._shape(spec, u[normal])
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(back - SHAPE_POINTS[normal]) <= 4 * eps * SHAPE_POINTS[normal])
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 3.0])
+@pytest.mark.parametrize("l", [0.0, 0.3, 2.5])
+def test_shape_inverse_nondecreasing(alpha, l):
+    spec = oz.OrliczSpec.gbo(alpha, l)
+    assert np.all(np.diff(oz._shape_inverse(spec, SHAPE_POINTS)) >= 0.0)
+    grid = np.geomspace(1e-12, 1e12, 4001)
+    assert np.all(np.diff(oz._shape_inverse(spec, grid)) >= 0.0)
+
+
+@pytest.mark.parametrize("spec", [
+    oz.OrliczSpec.psi(0.5),
+    oz.OrliczSpec.psi(2.0),
+    oz.OrliczSpec.gbo(1.0, 1.0),
+    oz.OrliczSpec.gbo(3.0, 0.3),
+    oz.OrliczSpec.gbo_phi(0.5, 1.5),
+], ids=lambda s: f"{s.family.value}-{s.alpha}")
+def test_empirical_norm_matches_pointwise_reference(spec):
+    # The exponent-space sweep must bracket the norm as the pointwise
+    # Orlicz function sees it: mean g(|x|/eta) > 1 just below the
+    # estimate and <= 1 just above.
+    for x in helpers.distribution_corpus()[:4]:
+        est = oz.empirical_norm(x, spec, tol=1e-6)
+
+        def mean_g(eta):
+            return np.mean([oz.eval_function(spec, abs(v) / eta) for v in x])
+
+        assert mean_g(est.value - est.tolerance) > 1.0
+        assert mean_g(est.value + est.tolerance) <= 1.0
+
+
+def test_empirical_norm_evaluation_count():
+    # Pins the bisection path: a change in the sweep or the bracket moves it.
+    x = np.random.default_rng(3).standard_exponential(500)
+    est = oz.empirical_norm(x, oz.OrliczSpec.psi(1.0))
+    assert est.evaluations == 31
+    assert est.value == pytest.approx(1.9910068, rel=1e-6)
+
+
+@pytest.mark.parametrize("spec", [
+    oz.OrliczSpec.psi(2.0),
+    oz.OrliczSpec.psi(0.5),
+    oz.OrliczSpec.gbo(0.5, 2.0),
+    oz.OrliczSpec.gbo_phi(2.0, 0.7),
+], ids=lambda s: f"{s.family.value}-{s.alpha}")
+def test_empirical_norm_extreme_scales(spec):
+    # Powers of |x| are taken once; they must neither underflow nor
+    # overflow when the sample sits near the ends of the float64 range.
+    x = np.random.default_rng(3).standard_exponential(500)
+    base = oz.empirical_norm(x, spec).value
+    for c in (1e-200, 1e200):
+        assert oz.empirical_norm(c * x, spec).value == pytest.approx(c * base, rel=1e-12)
+
+
 def test_homogeneity():
     rng = np.random.default_rng(11)
     x = rng.standard_normal(200)
