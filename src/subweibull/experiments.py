@@ -592,12 +592,33 @@ def _rip_validate(config):
 # kernels: restricted eigenvalue check
 
 
+def _gram_re_check(sigma, k, xi_divisor, xi=None):
+    """``re_check`` on a gram matrix, with xi defaulting to the diagnostic
+    max(lambda_min, 0) / xi_divisor.
+
+    Below n = p the gram matrix is singular and eigvalsh returns a
+    lambda_min of rounding size and either sign.  A lambda_min at or below
+    numpy's numerical-rank tolerance, lambda_max * p * eps, marks the
+    matrix singular and the check unsatisfied; the report keeps lambda_min
+    as eigvalsh returned it.
+    """
+    eigenvalues = np.linalg.eigvalsh(sigma)
+    lambda_min = float(eigenvalues[0])
+    if xi is None:
+        xi = max(lambda_min, 0.0) / xi_divisor
+    report = re_check(lambda_min, xi, k)
+    rank_tol = float(eigenvalues[-1]) * sigma.shape[0] * np.finfo(float).eps
+    if lambda_min <= rank_tol:
+        report = dataclasses.replace(report, satisfied=False, gamma_n=0.0)
+    return report
+
+
 def _re_task(config, point, rep, stream):
     alpha, p, k, n = point["alpha"], point["p"], point["k"], point["n"]
     law = IidCoordinates(SymmetricWeibull(alpha), p)
     x = draw_matrix(law, n, stream)
     sigma = gram(x)
-    lambda_min = float(np.linalg.eigvalsh(sigma)[0])
+    xi = None
     if config.options["xi_source"] == "theory":
         upsilon = upsilon_iid(law.max_second_moment,
                               SymmetricWeibull(alpha).fourth_moment, k)
@@ -606,14 +627,10 @@ def _re_task(config, point, rep, stream):
             alpha=alpha, c_alpha=config.constants.c_alpha_thm34,
         )
         xi = xi_bound(params)
-    else:
-        # below n = p the gram matrix is singular and eigvalsh may return
-        # a lambda_min just under 0; the deviation xi stays nonnegative
-        xi = max(lambda_min, 0.0) / config.options["xi_divisor"]
-    report = re_check(lambda_min, xi, k)
+    report = _gram_re_check(sigma, k, config.options["xi_divisor"], xi)
     row = {
-        "lambda_min": lambda_min,
-        "xi": xi,
+        "lambda_min": report.lambda_min,
+        "xi": report.xi,
         "satisfied": report.satisfied,
         "gamma_n": report.gamma_n,
         "cone_min": math.nan,
@@ -733,10 +750,7 @@ def _lasso_task(config, point, rep, stream):
             "cone membership failed under a dominating penalty "
             f"(alpha={alpha}, k={k}, n={n}, rep={rep}, lam={lam:.6g})"
         )
-    sigma = gram(data.x)
-    lambda_min = float(np.linalg.eigvalsh(sigma)[0])
-    xi = max(lambda_min, 0.0) / config.options["xi_divisor"]
-    report = re_check(lambda_min, xi, k)
+    report = _gram_re_check(gram(data.x), k, config.options["xi_divisor"])
     error_limit = math.nan
     if applicable and report.satisfied:
         error_limit = 3.0 * math.sqrt(k) * lam / report.gamma_n

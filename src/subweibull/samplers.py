@@ -7,6 +7,12 @@ sub-Gaussian / sub-exponential cases, and a polynomial-tail law
 exponential Orlicz norm is finite.  ``IidCoordinates`` turns a scalar
 law into a p-dimensional row law with independent coordinates.
 
+``SymmetricWeibull`` spends one 64-bit word of the bit generator per
+value: its top 53 bits give the uniform of the inverse transform, exactly
+as ``Generator.random`` forms it, and its lowest bit gives the sign.  The
+values are built in place in cache-sized chunks.  ``Pareto`` keeps its
+``random`` draw followed by an ``integers`` sign draw.
+
 Laws closed under convolution also draw the sum of n iid copies
 directly (``sample_sums``), so a statistic of column sums costs q draws
 per replication instead of n*q.  Each sum law is itself sampled through
@@ -57,6 +63,10 @@ __all__ = [
 ]
 
 _UINT64_BOUND = 2**64
+# SymmetricWeibull fills its output this many values at a time, so the
+# words and the value being built stay in cache; the values do not
+# depend on it.
+_CHUNK = 2**15
 
 
 @dataclass(frozen=True)
@@ -140,11 +150,13 @@ class ScalarLaw:
 class SymmetricWeibull(ScalarLaw):
     """Symmetric law with survival P(|Z| >= t) = exp(-t^alpha) exactly.
 
-    Generated by the pinned inverse transform |Z| = (-log U)^(1/alpha)
-    with an independent random sign, U uniform on (0, 1).  |Z|^alpha is
-    then a standard exponential, which gives every absolute moment in
-    closed form, E |Z|^m = Gamma(1 + m/alpha), and the exact norm
-    ||Z||_{psi_alpha} = 2^(1/alpha).
+    Generated by the pinned inverse transform |Z| = (-log(1 - U))^(1/alpha)
+    from one 64-bit word w of the generator per value: U = (w >> 11) 2^-53
+    takes the top 53 bits, as ``Generator.random`` does, and bit 0 of the
+    same word, which U never sees, is the independent random sign.
+    |Z|^alpha is then a standard exponential, which gives every absolute
+    moment in closed form, E |Z|^m = Gamma(1 + m/alpha), and the exact
+    norm ||Z||_{psi_alpha} = 2^(1/alpha).
     """
 
     alpha: float = 1.0
@@ -153,21 +165,26 @@ class SymmetricWeibull(ScalarLaw):
         if not self.alpha > 0.0:
             raise ValueError("alpha must be positive")
 
-    def from_uniform(self, u, sign=1.0):
-        """Deterministic core of the generator, exposed for forced draws."""
-        magnitude = -np.log(u)
-        if self.alpha != 1.0:
-            # pow(x, 1.0) is bit-exact x, so the alpha = 1 shortcut only
-            # skips a pass over the array.
-            magnitude = np.power(magnitude, 1.0 / self.alpha)
-        return sign * magnitude
-
     def sample(self, gen: np.random.Generator, size):
-        # 1 - random() lies in (0, 1]; draw order (magnitude, then sign)
-        # is part of the reproducibility contract.
-        u = 1.0 - gen.random(size)
-        sign = gen.integers(0, 2, size=size) * 2.0 - 1.0
-        return self.from_uniform(u, sign)
+        out = np.empty(size)
+        flat = out.reshape(-1)
+        for start in range(0, flat.size, _CHUNK):
+            chunk = flat[start:start + _CHUNK]
+            chunk_bits = chunk.view(np.uint64)
+            words = gen.bit_generator.random_raw(chunk.size)
+            # the output's bits hold w >> 11 until U = (w >> 11) 2^-53
+            # replaces them
+            np.right_shift(words, 11, out=chunk_bits)
+            np.multiply(chunk_bits, 2.0**-53, out=chunk)
+            np.subtract(1.0, chunk, out=chunk)
+            np.log(chunk, out=chunk)
+            np.negative(chunk, out=chunk)
+            if self.alpha != 1.0:
+                # pow(x, 1.0) is bit-exact x, so alpha = 1 skips the pass
+                np.power(chunk, 1.0 / self.alpha, out=chunk)
+            np.left_shift(words, 63, out=words)
+            np.bitwise_or(chunk_bits, words, out=chunk_bits)
+        return out
 
     def sample_sums(self, gen: np.random.Generator, n: int, size):
         if self.alpha != 1.0:

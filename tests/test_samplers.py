@@ -52,10 +52,27 @@ def test_scalar_law_validation():
         sp.Pareto(2.0, scale=0.0)
 
 
-def test_forced_uniform_draw():
-    # (-log e^-1)^(1/2) = 1 with a positive sign
-    assert sp.SymmetricWeibull(2.0).from_uniform(math.exp(-1.0), 1.0) == 1.0
-    assert sp.SymmetricWeibull(2.0).from_uniform(math.exp(-1.0), -1.0) == -1.0
+_CONTRACT_SIZES = [1, 2**15 - 1, 2**15, 2**15 + 1, (3, 4, 2**12 + 3)]
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("size", _CONTRACT_SIZES)
+def test_weibull_stream_contract(alpha, size):
+    # one 64-bit word per value: the top 53 bits make U as Generator.random
+    # does, the magnitude is (-log(1 - U))^(1/alpha), bit 0 is the sign
+    z = sp.SymmetricWeibull(alpha).sample(sp.RngStream(5, 9).generator(), size)
+    words = sp.RngStream(5, 9).generator().bit_generator.random_raw(size)
+    u = (words >> np.uint64(11)).astype(float) * 2.0**-53
+    magnitude = np.power(-np.log(1.0 - u), 1.0 / alpha)
+    expected = np.where(words & np.uint64(1), -magnitude, magnitude)
+    assert z.shape == np.shape(words)
+    assert np.array_equal(z.view(np.uint64), expected.view(np.uint64))
+    # the magnitudes are those of the former random() + integers() draw
+    gen = sp.RngStream(5, 9).generator()
+    former = -np.log(1.0 - gen.random(size))
+    if alpha != 1.0:
+        former = np.power(former, 1.0 / alpha)
+    assert np.array_equal(np.abs(z).view(np.uint64), former.view(np.uint64))
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
@@ -70,6 +87,11 @@ def test_weibull_tail_exactness(alpha):
         emp = float(np.mean(np.abs(z) >= t))
         se = math.sqrt(p * (1.0 - p) / n)
         assert abs(emp - p) <= 4.0 * se
+        # each side carries half: the sign is fair and independent of |Z|
+        half = p / 2.0
+        se = math.sqrt(half * (1.0 - half) / n)
+        assert abs(float(np.mean(z >= t)) - half) <= 4.0 * se
+        assert abs(float(np.mean(z <= -t)) - half) <= 4.0 * se
     if alpha == 1.0:
         p = math.exp(-2.0)
         emp = float(np.mean(np.abs(z) >= 2.0))
