@@ -49,12 +49,9 @@ from .covariance import (
     xi_bound,
 )
 from .lasso import (
-    EmpiricalOracle,
     LassoFit,
-    LassoProblem,
-    TheoryPoly,
-    TheorySubWeibull,
     cone_membership,
+    lambda_empirical,
     lambda_theory_poly,
     lambda_theory_subweibull,
     solve,

@@ -57,11 +57,10 @@ from .hdclt import (
     rho_rectangle_proxy,
 )
 from .lasso import (
-    EmpiricalOracle,
-    LassoProblem,
-    TheoryPoly,
-    TheorySubWeibull,
     cone_membership,
+    lambda_empirical,
+    lambda_theory_poly,
+    lambda_theory_subweibull,
     solve,
 )
 from .orlicz import BoundConstants, OrliczSpec, empirical_norm
@@ -700,30 +699,23 @@ def _lasso_noise(config):
     return Gaussian(config.options["sigma"])
 
 
-def _lasso_policy(config, point, noise):
-    """The theory penalty rule; the empirical one is resolved in the task."""
-    rule = config.options["lambda_rule"]
-    design = SymmetricWeibull(point["alpha"])
+def _lasso_theory_lambda(config, alpha, n, noise):
+    """The theory penalty of the configured rule at one (alpha, n) cell."""
+    design = SymmetricWeibull(alpha)
+    p = config.options["p"]
     sigma_np = math.sqrt(design.variance * noise.variance)
-    if rule == "theory_subweibull":
+    if config.options["lambda_rule"] == "theory_subweibull":
         gamma = config.options["gamma"]
         if gamma == 0.0:
-            gamma = 1.0 / (1.0 / point["alpha"] + 1.0 / noise.tail_exponent)
-        return TheorySubWeibull(
-            sigma_np=sigma_np,
-            k_np=design.psi_norm * noise.psi_norm,
-            gamma=gamma,
-            constants=config.constants,
+            gamma = 1.0 / (1.0 / alpha + 1.0 / noise.tail_exponent)
+        return lambda_theory_subweibull(
+            sigma_np, design.psi_norm * noise.psi_norm, n, p, gamma,
+            config.constants,
         )
     r = config.options["r"]
-    return TheoryPoly(
-        sigma_np=sigma_np,
-        k_np=design.psi_norm,
-        k_eps_r=noise.abs_moment(r) ** (1.0 / r),
-        alpha=point["alpha"],
-        r=r,
-        big_l=config.options["big_l"],
-        constants=config.constants,
+    return lambda_theory_poly(
+        sigma_np, design.psi_norm, noise.abs_moment(r) ** (1.0 / r), n, p,
+        alpha, r, config.options["big_l"], config.constants,
     )
 
 
@@ -735,24 +727,26 @@ def _lasso_task(config, point, rep, stream):
     beta0[:k] = config.options["beta_scale"]
     noise = _lasso_noise(config)
     data = make_regression(design, beta0, noise, n, stream)
-    problem = LassoProblem(data.x, data.y)
-    empirical_lam = EmpiricalOracle(data.eps).resolve(problem)
+    empirical_lam = lambda_empirical(data.x, data.eps)
     if config.options["lambda_rule"] == "empirical":
         lam = empirical_lam
     else:
-        lam = _lasso_policy(config, point, noise).resolve(problem)
-    fit = solve(problem, lam)
+        lam = _lasso_theory_lambda(config, alpha, n, noise)
+    fit = solve(data.x, data.y, lam)
     nu = fit.beta - beta0
     l2 = float(np.linalg.norm(nu))
     applicable = lam >= empirical_lam * (1.0 - _SLACK)
-    if applicable and not cone_membership(nu, range(k), beta0):
+    # The certificates speak of the minimiser: an iterate stopped at
+    # max_iter is only counted as nonconverged.
+    certified = applicable and fit.converged
+    if certified and not cone_membership(nu, range(k), beta0):
         raise InvariantViolation(
             "cone membership failed under a dominating penalty "
             f"(alpha={alpha}, k={k}, n={n}, rep={rep}, lam={lam:.6g})"
         )
     report = _gram_re_check(gram(data.x), k, config.options["xi_divisor"])
     error_limit = math.nan
-    if applicable and report.satisfied:
+    if certified and report.satisfied:
         error_limit = 3.0 * math.sqrt(k) * lam / report.gamma_n
         if l2 > error_limit + _SLACK:
             raise InvariantViolation(
@@ -813,6 +807,15 @@ def _lasso_validate(config):
         raise ConfigError("lasso: gaussian noise needs sigma > 0")
     if rule == "theory_poly" and noise != "pareto":
         raise ConfigError("lasso: theory_poly expects the pareto noise model")
+    if rule != "empirical":
+        law = _lasso_noise(config)
+        for alpha, n in itertools.product(config.grids["alpha"], config.grids["n"]):
+            try:
+                _lasso_theory_lambda(config, alpha, n, law)
+            except (ValueError, OverflowError) as exc:
+                raise ConfigError(
+                    f"lasso: no {rule} penalty at alpha={alpha:g}, n={n}: {exc}"
+                ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -1046,9 +1049,9 @@ _register(Experiment(
         _choice("noise", "gaussian", ("gaussian", "pareto")),
         _flt("sigma", 1.0, minimum=0.0),
         _flt("pareto_shape", 4.5, minimum=0.0),
-        _flt("r", 4.0, minimum=1.0),
+        _flt("r", 4.0, minimum=2.0),
         _flt("gamma", 0.0, minimum=0.0),  # 0 derives 1/gamma = 1/alpha + 1/theta
-        _flt("big_l", 1.0, minimum=0.0),
+        _flt("big_l", 1.0, minimum=1.0),
         _flt("beta_scale", 1.0),
         _flt("xi_divisor", 2000.0, minimum=1.0),
     ),

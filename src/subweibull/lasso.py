@@ -2,22 +2,24 @@
 
 The estimator minimizes (1/2n)||y - X theta||_2^2 + lambda ||theta||_1
 by cyclic coordinate descent from zero, certifying the result through
-the KKT subgradient conditions.  Penalty policies cover the two
-deviation regimes for max_j |X_j' eps| / n: stretched-exponential
-products (first term sqrt(log(np)/n), second term polynomial in logs
-over n) and polynomial-tailed noise (denominator n^{1 - 1/r} for noise
-with r finite moments).  The module also evaluates the cone inequality
-used as a per-replication invariant by the experiments.
+the KKT subgradient conditions.  Three penalty functions give lambda:
+the simulation-only 2 ||X' eps / n||_inf from the true noise, and the
+theory levels for the two deviation regimes of max_j |X_j' eps| / n,
+stretched-exponential products (first term sqrt(log(np)/n), second term
+polynomial in logs over n) and polynomial-tailed noise (denominator
+n^{1 - 1/r} for noise with r finite moments).  The module also evaluates
+the cone inequality used as a per-replication invariant by the
+experiments.
 
 Columns are not standardized implicitly: the theory penalties presume
 normalized covariates, so harness code standardizes explicitly where a
-policy expects it.
+penalty expects it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -26,13 +28,10 @@ from .orlicz import BoundConstants
 from .samplers import DataMatrix
 
 __all__ = [
-    "LassoProblem",
     "LassoFit",
-    "TheorySubWeibull",
-    "TheoryPoly",
-    "EmpiricalOracle",
     "soft_threshold",
     "solve",
+    "lambda_empirical",
     "lambda_theory_subweibull",
     "lambda_theory_poly",
     "cone_membership",
@@ -40,42 +39,13 @@ __all__ = [
 
 
 @dataclass(frozen=True, eq=False)
-class LassoProblem:
-    """Design matrix with its response vector."""
-
-    x: DataMatrix
-    y: np.ndarray
-
-    def __post_init__(self) -> None:
-        y = np.asarray(self.y, dtype=float)
-        if y.shape != (self.x.n,):
-            raise ValueError(f"y has shape {y.shape}, expected {(self.x.n,)}")
-        if not np.isfinite(y).all():
-            raise ValueError("y must be finite")
-        object.__setattr__(self, "y", y)
-
-
-@dataclass(frozen=True, eq=False)
 class LassoFit:
-    """Solver output with its KKT certificate.
-
-    ``objective_values`` holds the objective at zero followed by the
-    value after each full sweep; coordinate descent makes it
-    nonincreasing.
-    """
+    """Solver output with its KKT certificate."""
 
     beta: np.ndarray
-    lam: float
     iterations: int
     converged: bool
     kkt_residual: float
-    objective_values: np.ndarray
-
-
-def _objective(x: np.ndarray, y: np.ndarray, lam: float, beta: np.ndarray) -> float:
-    residual = y - x @ beta
-    n = y.shape[0]
-    return float(residual @ residual) / (2.0 * n) + lam * float(np.sum(np.abs(beta)))
 
 
 def soft_threshold(z, lam):
@@ -95,35 +65,38 @@ def _kkt_residual(x, y, beta, lam, n):
     return float(np.max(violation)) if violation.size else 0.0
 
 
-def solve(problem: LassoProblem, lam: float, tol: float = 1e-8,
+def solve(x: DataMatrix, y, lam: float, tol: float = 1e-8,
           max_iter: int = 100_000) -> LassoFit:
-    """Cyclic coordinate descent from zero.
+    """Cyclic coordinate descent from zero on the design x and response y.
 
     Converged when the largest coordinate update in a sweep falls below
     tol * (1 + ||theta||_inf) and the KKT residual is at most 10 tol;
     hitting max_iter returns the fit with converged = False.  The result
     does not depend on the memory layout of the design.
     """
+    y = np.asarray(y, dtype=float)
+    if y.shape != (x.n,):
+        raise ValueError(f"y has shape {y.shape}, expected {(x.n,)}")
+    if not np.isfinite(y).all():
+        raise ValueError("y must be finite")
     if not lam > 0.0:
         raise ValueError("lam must be positive")
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
-    x, y = np.ascontiguousarray(problem.x.values), problem.y
-    n, p = problem.x.n, problem.x.p
+    n, p = x.n, x.p
+    x = np.ascontiguousarray(x.values)
     beta = np.zeros(p)
     # KKT certificate at zero, computed with the canonical matmul form so
     # lam = ||X'y/n||_inf shrinks to zero bitwise, not just within epsilon
     if float(np.max(np.abs(x.T @ y / n))) <= lam:
-        return LassoFit(beta, float(lam), 0, True, 0.0,
-                        np.asarray([_objective(x, y, lam, beta)]))
+        return LassoFit(beta, 0, True, 0.0)
     column_scale = (np.einsum("ij,ij->j", x, x) / n).tolist()
     # rows of the transposed column-major copy: each column contiguous
     columns = np.asfortranarray(x).T
     coef = [0.0] * p
     residual = y.copy()
-    history = [_objective(x, y, lam, beta)]
     converged = False
     sweeps = 0
     kkt = math.inf
@@ -147,7 +120,6 @@ def solve(problem: LassoProblem, lam: float, tol: float = 1e-8,
                 coef[j] = new
                 max_update = max(max_update, abs(new - old))
         beta = np.asarray(coef)
-        history.append(_objective(x, y, lam, beta))
         if max_update < tol * (1.0 + float(np.max(np.abs(beta)))):
             kkt = _kkt_residual(x, y, beta, lam, n)
             if kkt <= 10.0 * tol:
@@ -155,12 +127,19 @@ def solve(problem: LassoProblem, lam: float, tol: float = 1e-8,
                 break
     if not converged:
         kkt = _kkt_residual(x, y, beta, lam, n)
-    return LassoFit(beta, float(lam), sweeps, converged, kkt,
-                    np.asarray(history))
+    return LassoFit(beta, sweeps, converged, kkt)
 
 
 # ---------------------------------------------------------------------------
-# penalty policies
+# penalty levels
+
+
+def lambda_empirical(x: DataMatrix, eps) -> float:
+    """Simulation-only penalty 2 ||X' eps / n||_inf from the true noise."""
+    eps = np.asarray(eps, dtype=float)
+    if eps.shape != (x.n,):
+        raise ValueError("eps length must match the sample size")
+    return 2.0 * float(np.max(np.abs(x.values.T @ eps / x.n)))
 
 
 def lambda_theory_subweibull(sigma_np, k_np, n, p, gamma,
@@ -189,7 +168,7 @@ def lambda_theory_subweibull(sigma_np, k_np, n, p, gamma,
     )
     lam = first + second
     if not lam > 0.0:
-        raise ValueError("degenerate penalty: both scale parameters are zero")
+        raise ValueError("degenerate penalty: both terms are zero")
     return lam
 
 
@@ -221,56 +200,8 @@ def lambda_theory_poly(sigma_np, k_np, k_eps_r, n, p, alpha, r, big_l,
     )
     lam = first + second
     if not lam > 0.0:
-        raise ValueError("degenerate penalty: all scale parameters are zero")
+        raise ValueError("degenerate penalty: both terms are zero")
     return lam
-
-
-@dataclass(frozen=True)
-class TheorySubWeibull:
-    """Theory penalty for stretched-exponential products."""
-
-    sigma_np: float
-    k_np: float
-    gamma: float
-    constants: BoundConstants = field(default_factory=BoundConstants)
-
-    def resolve(self, problem: LassoProblem) -> float:
-        return lambda_theory_subweibull(
-            self.sigma_np, self.k_np, problem.x.n, problem.x.p, self.gamma,
-            self.constants,
-        )
-
-
-@dataclass(frozen=True)
-class TheoryPoly:
-    """Theory penalty for polynomial-tailed noise."""
-
-    sigma_np: float
-    k_np: float
-    k_eps_r: float
-    alpha: float
-    r: float
-    big_l: float = 1.0
-    constants: BoundConstants = field(default_factory=BoundConstants)
-
-    def resolve(self, problem: LassoProblem) -> float:
-        return lambda_theory_poly(
-            self.sigma_np, self.k_np, self.k_eps_r, problem.x.n, problem.x.p,
-            self.alpha, self.r, self.big_l, self.constants,
-        )
-
-
-@dataclass(frozen=True, eq=False)
-class EmpiricalOracle:
-    """Simulation-only penalty 2 ||X' eps / n||_inf from the true noise."""
-
-    eps: np.ndarray
-
-    def resolve(self, problem: LassoProblem) -> float:
-        eps = np.asarray(self.eps, dtype=float)
-        if eps.shape != (problem.x.n,):
-            raise ValueError("eps length must match the sample size")
-        return 2.0 * float(np.max(np.abs(problem.x.values.T @ eps / problem.x.n)))
 
 
 # ---------------------------------------------------------------------------

@@ -291,8 +291,7 @@ def test_solver_matches_independent_oracle():
         y = x @ beta + gen.standard_normal(n)
         lam = float(gen.uniform(0.05, 0.5))
         law = sp.IidCoordinates(sp.Gaussian(1.0), p)
-        problem = ls.LassoProblem(sp.DataMatrix(n, p, x, law), y)
-        fit = ls.solve(problem, lam, tol=tol)
+        fit = ls.solve(sp.DataMatrix(n, p, x, law), y, lam, tol=tol)
         assert fit.converged
         objective = (0.5 * float(np.sum((y - x @ fit.beta) ** 2)) / n
                      + lam * float(np.sum(np.abs(fit.beta))))

@@ -48,8 +48,8 @@ def test_run_reports_nonconverged_fits(tmp_path, capsys, monkeypatch):
     # 0 but is named once on stderr.
     solve = ex.solve
 
-    def stalled_solve(problem, lam):
-        return dataclasses.replace(solve(problem, lam), converged=False)
+    def stalled_solve(x, y, lam):
+        return dataclasses.replace(solve(x, y, lam), converged=False)
 
     monkeypatch.setattr(ex, "solve", stalled_solve)
     cfg = _write_config(
@@ -60,6 +60,24 @@ def test_run_reports_nonconverged_fits(tmp_path, capsys, monkeypatch):
                    "(column nonconverged of summary.csv)"]
     with open(tmp_path / "out" / "summary.csv", newline="") as handle:
         assert [row["nonconverged"] for row in csv.DictReader(handle)] == ["2"]
+
+
+def test_run_nonconverged_fit_is_not_certified(tmp_path, capsys):
+    # At beta_scale = 1e20 rounding keeps the KKT residual far above its
+    # tolerance, so the fit stops at max_iter away from the minimiser.
+    # The cone and error certificates speak of the minimiser and are not
+    # checked; the fit is counted and named on stderr instead.
+    cfg = _write_config(
+        tmp_path, "experiment = lasso\nbeta_scale = 1e20\np = 10\nk = 2\n"
+        "n = 50\nreps = 1\nseed = 1\n")
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: 1 of 1 fits did not converge "
+        "(column nonconverged of summary.csv)"]
+    with open(tmp_path / "out" / "results.csv", newline="") as handle:
+        (row,) = csv.DictReader(handle)
+    assert row["converged"] == "0" and row["applicable"] == "1"
+    assert row["error_limit"] == "nan"
 
 
 def test_run_bad_config_exits_2(tmp_path, capsys):

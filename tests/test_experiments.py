@@ -219,6 +219,19 @@ def test_parse_config_reports_line_numbers():
     ("experiment = covariance\nalpha = 1, 0.01\n", "at least 0.05"),
     ("experiment = re\nalpha = 0.049\n", "at least 0.05"),
     ("experiment = lasso\nalpha = 0.01\n", "at least 0.05"),
+    # the theory penalties' own domain, checked at every (alpha, n) cell
+    ("experiment = lasso\nlambda_rule = theory_subweibull\np = 5\nk = 1\nn = 1\n",
+     "n must be at least 2"),
+    ("experiment = lasso\nlambda_rule = theory_poly\nnoise = pareto\np = 5\n"
+     "k = 1\nn = 1\n", "n must be at least 2"),
+    ("experiment = lasso\nlambda_rule = theory_poly\nnoise = pareto\n"
+     "pareto_shape = 3\nr = 1.5\n", "'r' must be at least 2"),
+    ("experiment = lasso\nlambda_rule = theory_poly\nnoise = pareto\n"
+     "big_l = 0.5\n", "'big_l' must be at least 1"),
+    ("experiment = lasso\nlambda_rule = theory_subweibull\nsigma = 1e-300\n"
+     "p = 5\nk = 1\nn = 50\n", "degenerate penalty"),
+    ("experiment = lasso\nlambda_rule = theory_subweibull\ngamma = 0.001\n",
+     "out of range"),
 ])
 def test_parse_config_experiment_constraints(text, fragment):
     with pytest.raises(ex.ConfigError, match=fragment):

@@ -1,4 +1,4 @@
-"""Lasso tests: solver certificates, penalty policies, oracle bounds."""
+"""Lasso tests: solver certificates, penalty levels, oracle bounds."""
 
 from __future__ import annotations
 
@@ -21,7 +21,13 @@ def _problem(seed, n=40, p=8, beta=None, sigma=1.0):
         beta[:3] = [1.5, -2.0, 0.5]
     y = x @ beta + sigma * gen.standard_normal(n)
     law = sp.IidCoordinates(sp.Gaussian(1.0), p)
-    return ls.LassoProblem(sp.DataMatrix(n, p, x, law), y), beta
+    return sp.DataMatrix(n, p, x, law), y, beta
+
+
+def _objective(x, y, lam, beta):
+    residual = y - x.values @ beta
+    return (float(residual @ residual) / (2.0 * x.n)
+            + lam * float(np.sum(np.abs(beta))))
 
 
 def test_soft_threshold_examples():
@@ -40,18 +46,18 @@ def test_problem_validation():
     law = sp.IidCoordinates(sp.Gaussian(1.0), 2)
     x = sp.DataMatrix(3, 2, np.ones((3, 2)), law)
     with pytest.raises(ValueError):
-        ls.LassoProblem(x, np.ones(4))
+        ls.solve(x, np.ones(4), 0.1)
     with pytest.raises(ValueError):
-        ls.LassoProblem(x, np.array([1.0, math.nan, 0.0]))
+        ls.solve(x, np.array([1.0, math.nan, 0.0]), 0.1)
 
 
 def test_shrink_to_zero_exactly():
-    problem, _ = _problem(3)
-    lam = float(np.max(np.abs(problem.x.values.T @ problem.y / problem.x.n)))
-    fit = ls.solve(problem, lam)
+    x, y, _ = _problem(3)
+    lam = float(np.max(np.abs(x.values.T @ y / x.n)))
+    fit = ls.solve(x, y, lam)
     assert np.array_equal(fit.beta, np.zeros(8))
     assert fit.converged and fit.kkt_residual == 0.0 and fit.iterations == 0
-    larger = ls.solve(problem, 2.0 * lam)
+    larger = ls.solve(x, y, 2.0 * lam)
     assert np.array_equal(larger.beta, np.zeros(8))
 
 
@@ -61,43 +67,49 @@ def test_single_standardized_predictor():
     x /= math.sqrt(float(x @ x) / 60.0)
     y = 2.0 * x + gen.standard_normal(60)
     law = sp.IidCoordinates(sp.Gaussian(1.0), 1)
-    problem = ls.LassoProblem(sp.DataMatrix(60, 1, x[:, None], law), y)
-    fit = ls.solve(problem, 0.3)
+    fit = ls.solve(sp.DataMatrix(60, 1, x[:, None], law), y, 0.3)
     closed = ls.soft_threshold(float(x @ y / 60.0), 0.3)
     assert fit.beta[0] == pytest.approx(closed, abs=1e-10)
 
 
 def test_solver_matches_independent_oracle():
-    problem, _ = _problem(0)
-    fit = ls.solve(problem, 0.1)
+    x, y, _ = _problem(0)
+    fit = ls.solve(x, y, 0.1)
     assert fit.converged
-    oracle = helpers.lasso_oracle_objective(problem.x.values, problem.y, 0.1)
-    assert fit.objective_values[-1] == pytest.approx(oracle, rel=1e-6)
+    oracle = helpers.lasso_oracle_objective(x.values, y, 0.1)
+    assert _objective(x, y, 0.1, fit.beta) == pytest.approx(oracle, rel=1e-6)
 
 
 def test_kkt_certificate_and_monotonicity():
     tol = 1e-8
     for seed in range(5):
-        problem, _ = _problem(seed)
-        fit = ls.solve(problem, 0.1, tol=tol)
+        x, y, _ = _problem(seed)
+        fit = ls.solve(x, y, 0.1, tol=tol)
         assert fit.converged
         assert fit.kkt_residual <= 10.0 * tol
-        x, y, n = problem.x.values, problem.y, problem.x.n
-        gradient = x.T @ (y - x @ fit.beta) / n
+        gradient = x.values.T @ (y - x.values @ fit.beta) / x.n
         for j in range(8):
             if fit.beta[j] == 0.0:
                 assert abs(gradient[j]) <= 0.1 + 10.0 * tol
             else:
                 assert abs(gradient[j] - 0.1 * np.sign(fit.beta[j])) <= 10.0 * tol
-        diffs = np.diff(fit.objective_values)
-        assert np.all(diffs <= 1e-12 * (1.0 + abs(fit.objective_values[0])))
-        assert fit.objective_values[-1] <= fit.objective_values[0]
+        # coordinate descent from zero is deterministic, so the fit
+        # stopped after s sweeps is the s-th iterate of the full run
+        values = [_objective(x, y, 0.1, np.zeros(8))]
+        for sweeps in range(1, fit.iterations + 1):
+            partial = ls.solve(x, y, 0.1, tol=tol, max_iter=sweeps)
+            assert partial.iterations == sweeps
+            values.append(_objective(x, y, 0.1, partial.beta))
+        assert np.array_equal(partial.beta, fit.beta)
+        diffs = np.diff(values)
+        assert np.all(diffs <= 1e-12 * (1.0 + abs(values[0])))
+        assert values[-1] <= values[0]
 
 
 def _layout_pair(x, y):
     law = sp.IidCoordinates(sp.Gaussian(1.0), x.shape[1])
     n, p = x.shape
-    return [ls.LassoProblem(sp.DataMatrix(n, p, values, law), y)
+    return [sp.DataMatrix(n, p, values, law)
             for values in (np.ascontiguousarray(x), np.asfortranarray(x))]
 
 
@@ -114,17 +126,16 @@ def test_solve_layout_independent():
     cases = [(x, y, 0.1), (zero_column, y, 0.1),
              (orthogonal, np.array([2.0, 2.0, 1.0, -1.0]), 0.25)]
     for design, response, lam in cases:
-        c_fit, f_fit = (ls.solve(problem, lam)
-                        for problem in _layout_pair(design, response))
+        c_fit, f_fit = (ls.solve(matrix, response, lam)
+                        for matrix in _layout_pair(design, response))
         assert c_fit.converged
         assert np.array_equal(c_fit.beta, f_fit.beta)
         assert np.array_equal(np.signbit(c_fit.beta), np.signbit(f_fit.beta))
         assert c_fit.iterations == f_fit.iterations
         assert c_fit.kkt_residual == f_fit.kkt_residual
-        assert np.array_equal(c_fit.objective_values, f_fit.objective_values)
-    fit = ls.solve(_layout_pair(zero_column, y)[0], 0.1)
+    fit = ls.solve(_layout_pair(zero_column, y)[0], y, 0.1)
     assert fit.beta[5] == 0.0 and not np.signbit(fit.beta[5])
-    fit = ls.solve(_layout_pair(cases[2][0], cases[2][1])[1], 0.25)
+    fit = ls.solve(_layout_pair(cases[2][0], cases[2][1])[1], cases[2][1], 0.25)
     # soft_threshold(0, lam) is +0.0; the first two coefficients are
     # the closed-form single-column fits
     assert fit.beta[2] == 0.0
@@ -134,12 +145,12 @@ def test_solve_layout_independent():
 
 
 def test_max_iter_exceeded():
-    problem, _ = _problem(1)
-    fit = ls.solve(problem, 1e-6, tol=1e-14, max_iter=2)
+    x, y, _ = _problem(1)
+    fit = ls.solve(x, y, 1e-6, tol=1e-14, max_iter=2)
     assert not fit.converged
     assert fit.iterations == 2
     with pytest.raises(ValueError):
-        ls.solve(problem, 0.0)
+        ls.solve(x, y, 0.0)
 
 
 def test_lambda_theory_subweibull():
@@ -178,22 +189,13 @@ def test_lambda_theory_poly():
         ls.lambda_theory_poly(0.0, 0.0, 0.0, 100, 5, 1.0, 4.0, 1.0)
 
 
-def test_policies_resolve():
-    problem, _ = _problem(2)
-    sub = ls.TheorySubWeibull(1.0, 0.5, 1.0)
-    assert sub.resolve(problem) == pytest.approx(
-        ls.lambda_theory_subweibull(1.0, 0.5, 40, 8, 1.0)
-    )
-    poly = ls.TheoryPoly(1.0, 0.5, 2.0, 1.0, 4.0)
-    assert poly.resolve(problem) == pytest.approx(
-        ls.lambda_theory_poly(1.0, 0.5, 2.0, 40, 8, 1.0, 4.0, 1.0)
-    )
+def test_lambda_empirical():
+    x, _, _ = _problem(2)
     eps = np.ones(40)
-    oracle = ls.EmpiricalOracle(eps)
-    expected = 2.0 * float(np.max(np.abs(problem.x.values.T @ eps / 40)))
-    assert oracle.resolve(problem) == pytest.approx(expected, rel=1e-12)
+    expected = 2.0 * float(np.max(np.abs(x.values.T @ eps / 40)))
+    assert ls.lambda_empirical(x, eps) == pytest.approx(expected, rel=1e-12)
     with pytest.raises(ValueError):
-        ls.EmpiricalOracle(np.ones(3)).resolve(problem)
+        ls.lambda_empirical(x, np.ones(3))
 
 
 def test_cone_membership_examples():
@@ -218,14 +220,14 @@ def test_cone_and_lemma_conformance():
         eps = gen.standard_normal(n)
         y = x @ beta0 + eps
         law = sp.IidCoordinates(sp.Gaussian(1.0), p)
-        problem = ls.LassoProblem(sp.DataMatrix(n, p, x, law), y)
-        lam = ls.EmpiricalOracle(eps).resolve(problem)
-        fit = ls.solve(problem, lam)
+        design = sp.DataMatrix(n, p, x, law)
+        lam = ls.lambda_empirical(design, eps)
+        fit = ls.solve(design, y, lam)
         assert fit.converged
         nu = fit.beta - beta0
         if not ls.cone_membership(nu, (0, 1, 2), beta0):
             violations += 1
-        lambda_min = float(np.linalg.eigvalsh(cv.gram(problem.x))[0])
+        lambda_min = float(np.linalg.eigvalsh(cv.gram(design))[0])
         report = cv.re_check(lambda_min, 1e-9, k)
         assert report.satisfied
         if float(np.linalg.norm(nu)) > 3.0 * math.sqrt(k) * lam / report.gamma_n:
