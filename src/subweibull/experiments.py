@@ -732,7 +732,8 @@ def _lasso_task(config, point, rep, stream):
         lam = empirical_lam
     else:
         lam = _lasso_theory_lambda(config, alpha, n, noise)
-    fit = solve(data.x, data.y, lam)
+    sigma = gram(data.x)
+    fit = solve(data.x, data.y, lam, sigma=sigma)
     nu = fit.beta - beta0
     l2 = float(np.linalg.norm(nu))
     applicable = lam >= empirical_lam * (1.0 - _SLACK)
@@ -744,7 +745,7 @@ def _lasso_task(config, point, rep, stream):
             "cone membership failed under a dominating penalty "
             f"(alpha={alpha}, k={k}, n={n}, rep={rep}, lam={lam:.6g})"
         )
-    report = _gram_re_check(gram(data.x), k, config.options["xi_divisor"])
+    report = _gram_re_check(sigma, k, config.options["xi_divisor"])
     error_limit = math.nan
     if certified and report.satisfied:
         error_limit = 3.0 * math.sqrt(k) * lam / report.gamma_n
@@ -794,7 +795,8 @@ def _lasso_validate(config):
             raise ConfigError(
                 "lasso: pareto_shape must exceed 2 so the noise has a variance"
             )
-        if config.options["r"] >= config.options["pareto_shape"]:
+        if (rule == "theory_poly"
+                and config.options["r"] >= config.options["pareto_shape"]):
             raise ConfigError(
                 "lasso: moment order r must lie below pareto_shape"
             )

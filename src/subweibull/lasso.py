@@ -1,15 +1,15 @@
 """L1-penalized least squares with theory-driven penalty levels.
 
 The estimator minimizes (1/2n)||y - X theta||_2^2 + lambda ||theta||_1
-by cyclic coordinate descent from zero, certifying the result through
-the KKT subgradient conditions.  Three penalty functions give lambda:
-the simulation-only 2 ||X' eps / n||_inf from the true noise, and the
-theory levels for the two deviation regimes of max_j |X_j' eps| / n,
-stretched-exponential products (first term sqrt(log(np)/n), second term
-polynomial in logs over n) and polynomial-tailed noise (denominator
-n^{1 - 1/r} for noise with r finite moments).  The module also evaluates
-the cone inequality used as a per-replication invariant by the
-experiments.
+by cyclic coordinate descent from zero with covariance updates on the
+gram matrix, certified by the KKT subgradient conditions checked on the
+design.  Three penalty functions give lambda: the simulation-only
+2 ||X' eps / n||_inf from the true noise, and the theory levels for the
+two deviation regimes of max_j |X_j' eps| / n, stretched-exponential
+products (first term sqrt(log(np)/n), second term polynomial in logs
+over n) and polynomial-tailed noise (denominator n^{1 - 1/r} for noise
+with r finite moments).  The module also evaluates the cone inequality
+used as a per-replication invariant by the experiments.
 
 Columns are not standardized implicitly: the theory penalties presume
 normalized covariates, so harness code standardizes explicitly where a
@@ -24,6 +24,7 @@ from typing import Optional
 
 import numpy as np
 
+from .covariance import gram
 from .orlicz import BoundConstants
 from .samplers import DataMatrix
 
@@ -57,8 +58,7 @@ def soft_threshold(z, lam):
     return float(out) if np.isscalar(z) else out
 
 
-def _kkt_residual(x, y, beta, lam, n):
-    gradient = x.T @ (y - x @ beta) / n
+def _kkt_residual(gradient, beta, lam):
     active = beta != 0.0
     violation = np.maximum(np.abs(gradient) - lam, 0.0)
     violation[active] = np.abs(gradient[active] - lam * np.sign(beta[active]))
@@ -66,13 +66,15 @@ def _kkt_residual(x, y, beta, lam, n):
 
 
 def solve(x: DataMatrix, y, lam: float, tol: float = 1e-8,
-          max_iter: int = 100_000) -> LassoFit:
-    """Cyclic coordinate descent from zero on the design x and response y.
+          max_iter: int = 100_000, sigma=None) -> LassoFit:
+    """Coordinate descent from zero by covariance updates on the gram
+    matrix, KKT checked on the design x and response y.
 
-    Converged when the largest coordinate update in a sweep falls below
-    tol * (1 + ||theta||_inf) and the KKT residual is at most 10 tol;
-    hitting max_iter returns the fit with converged = False.  The result
-    does not depend on the memory layout of the design.
+    sigma must be the array ``covariance.gram(x)``, formed here when
+    omitted; only its shape is checked.  Converged when the largest update
+    in a sweep is below tol * (1 + ||theta||_inf) and the KKT residual is
+    at most 10 tol, else the sweeps go on from the KKT gradient; hitting
+    max_iter returns converged = False.  Layout of x does not matter.
     """
     y = np.asarray(y, dtype=float)
     if y.shape != (x.n,):
@@ -86,28 +88,27 @@ def solve(x: DataMatrix, y, lam: float, tol: float = 1e-8,
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
     n, p = x.n, x.p
-    x = np.ascontiguousarray(x.values)
-    beta = np.zeros(p)
+    if sigma is not None and np.shape(sigma) != (p, p):
+        raise ValueError(f"sigma has shape {np.shape(sigma)}, expected {(p, p)}")
+    values = np.ascontiguousarray(x.values)
     # KKT certificate at zero, computed with the canonical matmul form so
     # lam = ||X'y/n||_inf shrinks to zero bitwise, not just within epsilon
-    if float(np.max(np.abs(x.T @ y / n))) <= lam:
-        return LassoFit(beta, 0, True, 0.0)
-    column_scale = (np.einsum("ij,ij->j", x, x) / n).tolist()
-    # rows of the transposed column-major copy: each column contiguous
-    columns = np.asfortranarray(x).T
+    gradient = values.T @ y / n
+    if float(np.max(np.abs(gradient))) <= lam:
+        return LassoFit(np.zeros(p), 0, True, 0.0)
+    if sigma is None:
+        sigma = gram(DataMatrix(n, p, values, x.law))
+    diagonal = np.diagonal(sigma).tolist()
     coef = [0.0] * p
-    residual = y.copy()
     converged = False
-    sweeps = 0
-    kkt = math.inf
     for sweeps in range(1, max_iter + 1):
         max_update = 0.0
         for j in range(p):
-            scale = column_scale[j]
+            scale = diagonal[j]
             if scale == 0.0:
                 continue
             old = coef[j]
-            rho = float(columns[j] @ residual) / n + scale * old
+            rho = float(gradient[j]) + scale * old
             # soft_threshold(rho, lam) / scale, signed zeros included
             if rho > lam:
                 new = (rho - lam) / scale
@@ -116,17 +117,18 @@ def solve(x: DataMatrix, y, lam: float, tol: float = 1e-8,
             else:
                 new = 0.0 if rho >= 0.0 else -0.0
             if new != old:
-                residual += columns[j] * (old - new)
+                gradient -= sigma[j] * (new - old)
                 coef[j] = new
                 max_update = max(max_update, abs(new - old))
         beta = np.asarray(coef)
         if max_update < tol * (1.0 + float(np.max(np.abs(beta)))):
-            kkt = _kkt_residual(x, y, beta, lam, n)
+            gradient = values.T @ (y - values @ beta) / n
+            kkt = _kkt_residual(gradient, beta, lam)
             if kkt <= 10.0 * tol:
                 converged = True
                 break
     if not converged:
-        kkt = _kkt_residual(x, y, beta, lam, n)
+        kkt = _kkt_residual(values.T @ (y - values @ beta) / n, beta, lam)
     return LassoFit(beta, sweeps, converged, kkt)
 
 

@@ -48,8 +48,9 @@ def test_run_reports_nonconverged_fits(tmp_path, capsys, monkeypatch):
     # 0 but is named once on stderr.
     solve = ex.solve
 
-    def stalled_solve(x, y, lam):
-        return dataclasses.replace(solve(x, y, lam), converged=False)
+    def stalled_solve(x, y, lam, sigma=None):
+        return dataclasses.replace(solve(x, y, lam, sigma=sigma),
+                                   converged=False)
 
     monkeypatch.setattr(ex, "solve", stalled_solve)
     cfg = _write_config(

@@ -203,8 +203,8 @@ def test_parse_config_reports_line_numbers():
     ("experiment = lasso\np = 4\nk = 5\n", "exceeds p"),
     ("experiment = lasso\nnoise = pareto\npareto_shape = 1.5\n",
      "must exceed 2"),
-    ("experiment = lasso\nnoise = pareto\npareto_shape = 3\nr = 3.5\n",
-     "below pareto_shape"),
+    ("experiment = lasso\nnoise = pareto\npareto_shape = 3\nr = 3.5\n"
+     "lambda_rule = theory_poly\n", "below pareto_shape"),
     ("experiment = lasso\nnoise = pareto\nlambda_rule = theory_subweibull\n",
      "no stretched-exponential norm"),
     ("experiment = lasso\nlambda_rule = theory_poly\n",
@@ -538,6 +538,15 @@ def test_run_lasso_below_n_equals_p(tmp_path):
     rows = _read_rows(out / "results.csv")
     assert len(rows) == 30
     assert all(row["re_satisfied"] == "0" for row in rows)
+
+
+def test_run_lasso_empirical_pareto_ignores_r(tmp_path):
+    # the empirical penalty never reads r, so the default r = 4 need not
+    # lie below pareto_shape
+    manifest, out = _run("experiment = lasso\nnoise = pareto\npareto_shape = 3\n"
+                         "p = 5\nk = 1\nn = 50\nreps = 1\n", tmp_path)
+    rows = _read_rows(out / "results.csv")
+    assert len(rows) == 1 and rows[0]["converged"] == "1"
 
 
 def test_run_plot_uses_first_values_of_other_axes(tmp_path):

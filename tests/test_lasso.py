@@ -72,12 +72,28 @@ def test_single_standardized_predictor():
     assert fit.beta[0] == pytest.approx(closed, abs=1e-10)
 
 
+def _near_collinear(seed, n=40, p=8):
+    # columns 0 and 1 have correlation above 0.999, where the incremental
+    # gradient of the covariance updates drifts most
+    gen = np.random.default_rng(seed)
+    x = gen.standard_normal((n, p))
+    x[:, 1] = x[:, 0] + 0.02 * gen.standard_normal(n)
+    assert np.corrcoef(x[:, 0], x[:, 1])[0, 1] >= 0.999
+    beta = np.zeros(p)
+    beta[:3] = [1.5, -2.0, 0.5]
+    y = x @ beta + gen.standard_normal(n)
+    law = sp.IidCoordinates(sp.Gaussian(1.0), p)
+    return sp.DataMatrix(n, p, x, law), y
+
+
 def test_solver_matches_independent_oracle():
-    x, y, _ = _problem(0)
-    fit = ls.solve(x, y, 0.1)
-    assert fit.converged
-    oracle = helpers.lasso_oracle_objective(x.values, y, 0.1)
-    assert _objective(x, y, 0.1, fit.beta) == pytest.approx(oracle, rel=1e-6)
+    tol = 1e-8
+    for x, y in (_problem(0)[:2], _near_collinear(0)):
+        fit = ls.solve(x, y, 0.1, tol=tol)
+        assert fit.converged
+        assert fit.kkt_residual <= 10.0 * tol
+        oracle = helpers.lasso_oracle_objective(x.values, y, 0.1)
+        assert _objective(x, y, 0.1, fit.beta) == pytest.approx(oracle, rel=1e-6)
 
 
 def test_kkt_certificate_and_monotonicity():
@@ -126,13 +142,21 @@ def test_solve_layout_independent():
     cases = [(x, y, 0.1), (zero_column, y, 0.1),
              (orthogonal, np.array([2.0, 2.0, 1.0, -1.0]), 0.25)]
     for design, response, lam in cases:
-        c_fit, f_fit = (ls.solve(matrix, response, lam)
-                        for matrix in _layout_pair(design, response))
+        pair = _layout_pair(design, response)
+        c_fit, f_fit = (ls.solve(matrix, response, lam) for matrix in pair)
         assert c_fit.converged
+        for matrix in pair:
+            given = ls.solve(matrix, response, lam, sigma=cv.gram(matrix))
+            assert np.array_equal(given.beta, c_fit.beta)
+            assert np.array_equal(np.signbit(given.beta), np.signbit(c_fit.beta))
+            assert given.iterations == c_fit.iterations
+            assert given.kkt_residual == c_fit.kkt_residual
         assert np.array_equal(c_fit.beta, f_fit.beta)
         assert np.array_equal(np.signbit(c_fit.beta), np.signbit(f_fit.beta))
         assert c_fit.iterations == f_fit.iterations
         assert c_fit.kkt_residual == f_fit.kkt_residual
+    with pytest.raises(ValueError, match="sigma has shape"):
+        ls.solve(pair[0], cases[2][1], 0.25, sigma=np.eye(2))
     fit = ls.solve(_layout_pair(zero_column, y)[0], y, 0.1)
     assert fit.beta[5] == 0.0 and not np.signbit(fit.beta[5])
     fit = ls.solve(_layout_pair(cases[2][0], cases[2][1])[1], cases[2][1], 0.25)
