@@ -25,6 +25,7 @@ search is included to falsify (never certify) those verdicts.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -161,6 +162,14 @@ def centered_cov(x: DataMatrix) -> np.ndarray:
     return (out + out.T) / 2.0
 
 
+@functools.lru_cache(maxsize=64)
+def _upper_triangle(p: int) -> np.ndarray:
+    """Read-only flat positions of ``np.triu_indices(p)``, built once per p."""
+    flat = np.ravel_multi_index(np.triu_indices(p), (p, p))
+    flat.flags.writeable = False
+    return flat
+
+
 def max_elementwise_error(a: np.ndarray, b: np.ndarray) -> float:
     """max_{j <= k} |a_jk - b_jk| over the upper triangle with diagonal."""
     a = np.asarray(a, dtype=float)
@@ -169,7 +178,7 @@ def max_elementwise_error(a: np.ndarray, b: np.ndarray) -> float:
         raise ValueError("inputs must be square")
     if a.shape != b.shape:
         raise ValueError("inputs must have equal shapes")
-    return float(np.max(np.abs(np.triu(a - b))))
+    return float(np.abs(a - b).take(_upper_triangle(a.shape[0])).max())
 
 
 def delta_bound(a_np, k_np, n, p, alpha, t, constants=None, centered=False):

@@ -1131,6 +1131,12 @@ class CsvTable:
 
 
 def _format_cell(value) -> str:
+    # the exact-type tests take the common cells first; bool is not int
+    kind = type(value)
+    if kind is float:
+        return "%.17g" % value
+    if kind is int:
+        return str(value)
     if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
@@ -1153,7 +1159,7 @@ def _build_table(rows) -> CsvTable:
 
 def write_csv(path: Path, table: CsvTable) -> None:
     lines = [",".join(table.header)]
-    lines.extend(",".join(_format_cell(v) for v in row) for row in table.rows)
+    lines.extend(",".join(map(_format_cell, row)) for row in table.rows)
     with open(path, "w", newline="") as handle:
         handle.write("\n".join(lines) + "\n")
 
@@ -1291,19 +1297,21 @@ def _grid_points(config: ExperimentConfig, spec: Experiment):
 def _execute(config: ExperimentConfig, spec: Experiment, points):
     """Run every (cell, rep) task; nested results indexed by position."""
     nested = [[None] * config.reps for _ in points]
-
-    def one(cell: int, rep: int):
-        base = (cell * _GRID_STRIDE + rep) * _BLOCK
-        return spec.task(config, points[cell], rep, RngStream(config.seed, base))
-
     pairs = [(cell, rep) for cell in range(len(points))
              for rep in range(config.reps)]
+    streams = RngStream.keyed(config.seed, [(cell * _GRID_STRIDE + rep) * _BLOCK
+                                            for cell, rep in pairs])
+
+    def one(index: int):
+        cell, rep = pairs[index]
+        return spec.task(config, points[cell], rep, streams[index])
+
     if config.workers == 1:
-        for cell, rep in pairs:
-            nested[cell][rep] = one(cell, rep)
+        for index, (cell, rep) in enumerate(pairs):
+            nested[cell][rep] = one(index)
     else:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            futures = [pool.submit(one, cell, rep) for cell, rep in pairs]
+            futures = [pool.submit(one, index) for index in range(len(pairs))]
             # On the first failure drop the tasks not yet started; the
             # earliest failed task in submission order is then re-raised.
             wait(futures, return_when=FIRST_EXCEPTION)

@@ -37,14 +37,23 @@ and every draw operation builds a fresh counter-based generator from it,
 so the same stream always reproduces the same values bit for bit and
 replications can run on any worker layout without sequence coupling.
 Callers wanting fresh draws use fresh stream ids.
+
+The contract: the stream's generator is ``Philox`` keyed by
+``SeedSequence(entropy=[seed, stream_id]).generate_state(2, np.uint64)``.
+A batch of task streams (``RngStream.keyed``) gets every key in one
+vectorised pass of that hash over the array of stream ids; the keys equal
+``SeedSequence``'s word for word, which a test pins, so a keyed stream and
+the same stream without a key draw the same values.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 __all__ = [
     "RngStream",
@@ -68,6 +77,78 @@ _UINT64_BOUND = 2**64
 # depend on it.
 _CHUNK = 2**15
 
+# numpy's SeedSequence hash (a pool of four 32-bit words): the running
+# hash constants of its entropy mixing (A) and of ``generate_state`` (B).
+_MASK32 = 0xFFFFFFFF
+_POOL = 4
+_XSHIFT = 16
+_MIX_L = np.uint32(0xCA01F9DD)
+_MIX_R = np.uint32(0x4973F715)
+
+
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    out = [init]
+    for _ in range(count):
+        out.append(out[-1] * mult & _MASK32)
+    return np.array(out, dtype=np.uint32)
+
+
+# the pool is hashed in once, then every ordered pair of its words is mixed
+_HASH_A = _hash_constants(0x43B0D7E5, 0x931E8875, _POOL * _POOL)
+_HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, _POOL)
+
+
+def _philox_keys(seed: int, stream_ids) -> np.ndarray:
+    """(len(stream_ids), 2) uint64 keys: row i is
+    ``SeedSequence(entropy=[seed, stream_ids[i]]).generate_state(2, np.uint64)``.
+
+    The entropy is the seed's 32-bit words then the id's, least
+    significant first, hashed into the pool with zeros past its end; an id
+    below 2**32 is one word, which the zero padding makes the same as a
+    zero high word.  Every step is uint32 arithmetic over all ids at once.
+    """
+    ids = np.asarray(stream_ids, dtype=np.uint64)
+    seed_words = [seed & _MASK32, seed >> 32] if seed >> 32 else [seed]
+    pool = np.zeros((_POOL, ids.size), dtype=np.uint32)
+    pool[:len(seed_words)] = np.array(seed_words, dtype=np.uint32)[:, None]
+    pool[len(seed_words)] = ids & _MASK32
+    pool[len(seed_words) + 1] = ids >> 32
+
+    pool ^= _HASH_A[:_POOL, None]
+    pool *= _HASH_A[1:_POOL + 1, None]
+    pool ^= pool >> _XSHIFT
+    step = _POOL
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src == dst:
+                continue
+            hashed = pool[src] ^ _HASH_A[step]
+            hashed *= _HASH_A[step + 1]
+            hashed ^= hashed >> _XSHIFT
+            mixed = _MIX_L * pool[dst] - _MIX_R * hashed
+            mixed ^= mixed >> _XSHIFT
+            pool[dst] = mixed
+            step += 1
+
+    pool ^= _HASH_B[:_POOL, None]
+    pool *= _HASH_B[1:, None]
+    pool ^= pool >> _XSHIFT
+    # generate_state reads its four words as two little-endian uint64
+    words = np.ascontiguousarray(pool.T, dtype="<u4")
+    return words.view("<u8").astype(np.uint64, copy=False)
+
+
+class _PhiloxKey(ISeedSequence):
+    """A Philox key already derived, handed to ``Philox`` as its seed."""
+
+    def __init__(self, key: np.ndarray) -> None:
+        self._key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 2 or np.dtype(dtype) != np.uint64:
+            raise ValueError("a Philox key is two uint64 words")
+        return self._key
+
 
 @dataclass(frozen=True)
 class RngStream:
@@ -82,6 +163,10 @@ class RngStream:
 
     seed: int
     stream_id: int = 0
+    # Philox key set by ``keyed``; it is a function of (seed, stream_id),
+    # so equality and hash leave it out.
+    _key: Optional[np.ndarray] = field(default=None, init=False,
+                                       repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("seed", "stream_id"):
@@ -91,9 +176,21 @@ class RngStream:
             if not 0 <= int(value) < _UINT64_BOUND:
                 raise ValueError(f"{name} must fit in an unsigned 64-bit integer")
 
+    @classmethod
+    def keyed(cls, seed: int, stream_ids) -> list:
+        """The streams (seed, i) for i in ``stream_ids``, keys derived in one pass."""
+        streams = [cls(seed, i) for i in stream_ids]
+        keys = _philox_keys(int(seed), [int(s.stream_id) for s in streams])
+        for stream, key in zip(streams, keys):
+            object.__setattr__(stream, "_key", key)
+        return streams
+
     def generator(self) -> np.random.Generator:
-        key = np.random.SeedSequence(entropy=[int(self.seed), int(self.stream_id)])
-        return np.random.Generator(np.random.Philox(key))
+        if self._key is None:
+            seq = np.random.SeedSequence(entropy=[int(self.seed), int(self.stream_id)])
+        else:
+            seq = _PhiloxKey(self._key)
+        return np.random.Generator(np.random.Philox(seq))
 
 
 # ---------------------------------------------------------------------------
@@ -179,9 +276,16 @@ class SymmetricWeibull(ScalarLaw):
             np.subtract(1.0, chunk, out=chunk)
             np.log(chunk, out=chunk)
             np.negative(chunk, out=chunk)
-            if self.alpha != 1.0:
-                # pow(x, 1.0) is bit-exact x, so alpha = 1 skips the pass
-                np.power(chunk, 1.0 / self.alpha, out=chunk)
+            # pow(x, 1.0) is bit-exact x, so alpha = 1 skips the pass;
+            # sqrt and square equal pow(x, 0.5) and pow(x, 2.0) bit for bit
+            # at about half the cost
+            exponent = 1.0 / self.alpha
+            if exponent == 0.5:
+                np.sqrt(chunk, out=chunk)
+            elif exponent == 2.0:
+                np.square(chunk, out=chunk)
+            elif exponent != 1.0:
+                np.power(chunk, exponent, out=chunk)
             np.left_shift(words, 63, out=words)
             np.bitwise_or(chunk_bits, words, out=chunk_bits)
         return out

@@ -87,6 +87,21 @@ def monotonicity_suite(samples, alphas=(0.5, 1.0, 2.0), tol=NORM_TOL):
     return checks, violations
 
 
+def _moment_segment_max(x, alpha, l, lo, hi, grid_step=0.25):
+    """Max of ``gbo_moment_norm``'s ratio over its grid points r in (lo, hi].
+
+    The points are taken from the same ``arange`` from 1 and each ratio
+    depends on its own r only, so the max of this and
+    ``gbo_moment_norm(..., r_max=lo)`` is ``gbo_moment_norm(..., r_max=hi)``
+    bit for bit.
+    """
+    r_grid = np.arange(1.0, hi + 1e-12, grid_step)
+    r_grid = r_grid[r_grid > lo]
+    log_norms = oz._grid_moment_norms(oz._abs_sample(x), r_grid)
+    ratio = np.exp(log_norms) / (np.sqrt(r_grid) + l * r_grid ** (1.0 / alpha))
+    return float(np.max(ratio))
+
+
 def moment_sandwich_suite(samples, alphas=(0.5, 1.0, 2.0), scales=(0.5, 2.0), tol=NORM_TOL):
     """C_*(a) * moment functional <= two-regime norm <= C^*(a) * moment functional.
 
@@ -101,7 +116,7 @@ def moment_sandwich_suite(samples, alphas=(0.5, 1.0, 2.0), scales=(0.5, 2.0), to
                 r_max = 200.0
                 mg = oz.gbo_moment_norm(x, alpha, l, r_max=r_max, grid_step=0.25)
                 for _ in range(6):
-                    wider = oz.gbo_moment_norm(x, alpha, l, r_max=2 * r_max, grid_step=0.25)
+                    wider = max(mg, _moment_segment_max(x, alpha, l, r_max, 2 * r_max))
                     if wider <= mg * 1.001:
                         break
                     r_max *= 2

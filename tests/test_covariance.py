@@ -56,6 +56,32 @@ def test_max_elementwise_error():
         cv.max_elementwise_error(np.zeros((2, 3)), np.zeros((2, 3)))
 
 
+def test_max_elementwise_error_matches_triu_reference():
+    # bit for bit the max of |triu(a - b)|, with nan and +-inf below the
+    # diagonal and signed zeros anywhere
+    rng = np.random.default_rng(13)
+    for p in range(1, 9):
+        cases = [(np.full((p, p), -0.0), np.zeros((p, p)))]
+        for _ in range(30):
+            a = rng.standard_normal((p, p))
+            b = rng.standard_normal((p, p))
+            zeros = rng.random((p, p)) < 0.3
+            a[zeros] = -0.0
+            b[zeros] = rng.choice([0.0, -0.0], size=int(zeros.sum()))
+            rows, cols = np.tril_indices(p, -1)
+            if rows.size:
+                pick = rng.integers(0, rows.size, size=min(3, rows.size))
+                bad = rng.choice([np.nan, np.inf, -np.inf], size=(2, pick.size))
+                a[rows[pick], cols[pick]] = bad[0]
+                b[rows[pick[:1]], cols[pick[:1]]] = bad[1, :1]
+            cases.append((a, b))
+        for a, b in cases:
+            with np.errstate(invalid="ignore"):
+                expected = np.max(np.abs(np.triu(a - b)))
+                got = cv.max_elementwise_error(a, b)
+            assert np.float64(got).view(np.uint64) == expected.view(np.uint64), (a, b)
+
+
 def test_delta_bound_values():
     threshold, prob = cv.delta_bound(0.0, 0.0, 100, 10, 1.0, 2.0)
     assert threshold == 0.0

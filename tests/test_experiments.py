@@ -258,6 +258,23 @@ def test_write_csv_formats(tmp_path):
     assert "\r" not in text
 
 
+def test_write_csv_numpy_scalars_format_like_python(tmp_path):
+    python_row = (0.1, -0.0, 5e-324, float("inf"), float("nan"), 7, -3,
+                  2**63 - 1, True, False)
+    numpy_row = (np.float64(0.1), np.float64(-0.0), np.float64(5e-324),
+                 np.float64(np.inf), np.float64(np.nan), np.int64(7),
+                 np.int64(-3), np.int64(2**63 - 1), np.bool_(True),
+                 np.bool_(False))
+    header = tuple(f"c{i}" for i in range(len(python_row)))
+    ex.write_csv(tmp_path / "python.csv", ex.CsvTable(header, (python_row,)))
+    ex.write_csv(tmp_path / "numpy.csv", ex.CsvTable(header, (numpy_row,)))
+    text = (tmp_path / "python.csv").read_text()
+    assert text == (tmp_path / "numpy.csv").read_text()
+    assert text.splitlines()[1] == (
+        "0.10000000000000001,-0,4.9406564584124654e-324,inf,nan,7,-3,"
+        "9223372036854775807,1,0")
+
+
 def test_write_csv_rejects_commas_in_cells(tmp_path):
     table = ex.CsvTable(("a",), (("x,y",),))
     with pytest.raises(ValueError, match="quoting"):

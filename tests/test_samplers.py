@@ -35,6 +35,43 @@ def test_stream_validation():
         sp.RngStream(1.5, 0)
 
 
+_KEY_EDGES = [0, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1]
+
+
+def test_keyed_streams_match_seed_sequence():
+    # the one-pass keys equal SeedSequence(entropy=[seed, id]) word for
+    # word, and a keyed stream draws what the same stream draws without one
+    rng = np.random.default_rng(2011)
+    seeds = [int(s) for s in rng.integers(0, 2**63, 20, dtype=np.uint64)]
+    checked = 0
+    for seed in seeds + _KEY_EDGES:
+        ids = [int(i) for i in rng.integers(0, 2**64 - 1, 25, dtype=np.uint64,
+                                            endpoint=True)] + _KEY_EDGES
+        keys = sp._philox_keys(seed, ids)
+        for sid, key, stream in zip(ids, keys, sp.RngStream.keyed(seed, ids)):
+            expected = np.random.SeedSequence(entropy=[seed, sid])
+            assert np.array_equal(key, expected.generate_state(2, np.uint64)), (seed, sid)
+            keyed_raw = stream.generator().bit_generator.random_raw(8)
+            plain_raw = sp.RngStream(seed, sid).generator().bit_generator.random_raw(8)
+            assert np.array_equal(keyed_raw, plain_raw), (seed, sid)
+            checked += 1
+    assert checked >= 500
+
+
+def test_keyed_stream_equals_plain_stream():
+    keyed = sp.RngStream.keyed(7, [3, 2**40])
+    plain = [sp.RngStream(7, 3), sp.RngStream(7, 2**40)]
+    assert keyed == plain
+    assert [hash(s) for s in keyed] == [hash(s) for s in plain]
+    assert repr(keyed[0]) == repr(plain[0])
+    # a keyed stream replays like any other
+    assert np.array_equal(keyed[0].generator().random(4), keyed[0].generator().random(4))
+    with pytest.raises(ValueError):
+        sp.RngStream.keyed(7, [2**64])
+    with pytest.raises(TypeError):
+        sp.RngStream.keyed(7, [1.5])
+
+
 def test_scalar_law_validation():
     with pytest.raises(ValueError):
         sp.SymmetricWeibull(0.0)
