@@ -19,6 +19,7 @@ scalar option, a constants override, or one of the driver keys
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
@@ -499,15 +500,26 @@ def _tailcheck_summary(config, points, nested):
 # kernels: covariance max-norm error
 
 
-def _covariance_task(config, point, rep, stream):
-    alpha, p, n = point["alpha"], point["p"], point["n"]
+@functools.lru_cache(maxsize=64)
+def _covariance_cell(alpha: float, p: int):
+    """The coordinate law of a covariance cell and its read-only covariance.
+
+    Both depend on the cell only, so every rep of the cell shares them;
+    the law is a frozen dataclass and the matrix cannot be written.
+    """
     law = IidCoordinates(SymmetricWeibull(alpha), p)
-    x = draw_matrix(law, n, stream)
+    target = np.diag(law.coordinate_variances)
+    target.flags.writeable = False
+    return law, target
+
+
+def _covariance_task(config, point, rep, stream):
+    law, target = _covariance_cell(point["alpha"], point["p"])
+    x = draw_matrix(law, point["n"], stream)
     if config.options["centered"]:
         estimate = centered_cov(x)
     else:
         estimate = gram(x)
-    target = np.diag(law.coordinate_variances)
     return {"delta": max_elementwise_error(estimate, target)}
 
 

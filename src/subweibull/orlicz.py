@@ -39,7 +39,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 __all__ = [
     "Family",
@@ -413,12 +412,32 @@ def empirical_norm(sample, spec: OrliczSpec, tol: float = 1e-6) -> NormEstimate:
     )
 
 
+def _logsumexp_rows(z: np.ndarray) -> np.ndarray:
+    """log(sum_j exp(z_ij)) for each row i of a 2-d float array.
+
+    The formula of ``scipy.special.logsumexp(z, axis=1)`` for real
+    input, operation for operation, so results agree bit for bit: the
+    m entries tied at the row max M leave the sum, s sums exp(z - M)
+    over the rest, and the result is log1p(s/m) + log(m) + M.  Entries
+    may be -inf, but every row max must be finite.
+    """
+    zmax = z.max(axis=1, keepdims=True)
+    tied = z == zmax
+    m = tied.sum(axis=1, dtype=float)
+    # One scratch block of z's size, shifted and exponentiated in place.
+    rest = np.where(tied, -np.inf, z)
+    rest -= zmax
+    s = np.exp(rest, out=rest).sum(axis=1)
+    return np.log1p(s / m) + np.log(m) + zmax[:, 0]
+
+
 def _grid_moment_norms(x: np.ndarray, r_grid: np.ndarray) -> np.ndarray:
     """log of (mean |x|^r)^(1/r) on a grid of r, computed in log space.
 
-    Log-space accumulation keeps r up to several hundred from
-    overflowing mean |x|^r.  Work is chunked so the m-by-grid matrix
-    stays within a fixed memory budget.
+    Log-space accumulation (``_logsumexp_rows`` over r log|x|, with
+    log 0 = -inf) keeps r up to several hundred from overflowing
+    mean |x|^r.  Work is chunked so the m-by-grid matrix stays within
+    a fixed memory budget.
     """
     m = x.size
     with np.errstate(divide="ignore"):
@@ -427,7 +446,7 @@ def _grid_moment_norms(x: np.ndarray, r_grid: np.ndarray) -> np.ndarray:
     chunk = max(1, int(2e7) // m)
     for start in range(0, r_grid.size, chunk):
         rs = r_grid[start : start + chunk]
-        block = logsumexp(rs[:, None] * log_abs[None, :], axis=1)
+        block = _logsumexp_rows(rs[:, None] * log_abs[None, :])
         out[start : start + rs.size] = (block - math.log(m)) / rs
     return out
 

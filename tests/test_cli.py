@@ -10,6 +10,7 @@ import os
 import resource
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -207,14 +208,36 @@ def test_run_too_big_for_memory_exits_2(tmp_path, body):
     assert "more memory" in done.stderr
 
 
-def test_import_does_not_load_scipy_stats():
-    # scipy.stats takes most of a run's start-up time; no module needs it
+def _run_python(code):
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    code = ("import subweibull, subweibull.cli, sys; "
-            "assert 'scipy.stats' not in sys.modules")
-    done = subprocess.run([sys.executable, "-c", code], env=env,
+    return subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+def test_import_loads_no_scipy():
+    # scipy takes most of a run's start-up time; no module needs it
+    done = _run_python(
+        "import subweibull, subweibull.cli, sys; "
+        "loaded = [m for m in sys.modules "
+        "          if m == 'scipy' or m.startswith('scipy.')]; "
+        "assert not loaded, loaded")
     assert done.returncode == 0, done.stderr
+
+
+def test_registry_runs_without_scipy(tmp_path):
+    # every experiment at its default config, with scipy made unimportable
+    done = _run_python(textwrap.dedent(f"""
+        import dataclasses, sys
+        sys.modules["scipy"] = None
+        from subweibull import experiments as ex
+        for name in sorted(ex.REGISTRY):
+            config = ex.parse_config(f"experiment = {{name}}\\n")
+            out = {str(tmp_path)!r} + "/" + name
+            ex.run(dataclasses.replace(config, output_dir=out))
+            print(name)
+    """))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == sorted(ex.REGISTRY)
 
 
 def test_public_names_are_exported():

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import gammaln
+from scipy.special import gammaln, logsumexp
 
 import helpers
 from subweibull import orlicz as oz
@@ -255,6 +255,64 @@ def test_gbo_moment_norm_basics():
     assert oz.gbo_moment_norm(np.zeros(4), 1.0, 1.0) == 0.0
     with pytest.raises(ValueError):
         oz.gbo_moment_norm([1.0], 1.0, -0.5)
+
+
+def _assert_same_bits(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_logsumexp_rows_matches_scipy_bits():
+    rng = np.random.default_rng(31)
+    rows = [
+        np.array([0.0, -np.inf, 1.5, -np.inf]),   # -inf entries (log 0)
+        np.array([2.0, 2.0, -1.0, 2.0, 0.5]),     # ties at the max
+        np.full(6, 3.25),                         # all equal
+        np.array([-700.0, 700.0, 699.0, -np.inf, 700.0]),
+    ]
+    for row in rows:
+        _assert_same_bits(oz._logsumexp_rows(row[None, :]),
+                          logsumexp(row[None, :], axis=1))
+    for cols in (1, 2, 7, 129):
+        z = rng.normal(scale=50.0, size=(40, cols))
+        z[:, 1:][rng.random((40, cols - 1)) < 0.2] = -np.inf  # max stays finite
+        z[::3, -1] = z[::3].max(axis=1)           # more ties
+        z[5] = z[5, 0]
+        _assert_same_bits(oz._logsumexp_rows(z), logsumexp(z, axis=1))
+
+
+def _scipy_moment_norms(x, alpha, scale_l, r_max, grid_step):
+    # gbo_moment_norm's log-norm grid and result, with scipy's logsumexp
+    # in place of the private helper
+    x = np.abs(np.asarray(x, dtype=float))
+    r_grid = np.arange(1.0, r_max + 1e-12, grid_step)
+    with np.errstate(divide="ignore"):
+        z = r_grid[:, None] * np.log(x)[None, :]
+    log_norms = (logsumexp(z, axis=1) - math.log(x.size)) / r_grid
+    ratio = np.exp(log_norms) / (np.sqrt(r_grid) + scale_l * r_grid ** (1.0 / alpha))
+    return r_grid, log_norms, float(np.max(ratio))
+
+
+@pytest.mark.parametrize("grid_step", [0.25, 0.5])
+def test_gbo_moment_norm_matches_scipy_reference(grid_step):
+    rng = np.random.default_rng(32)
+    samples = [
+        rng.standard_normal(300),
+        rng.weibull(0.5, 200),
+        np.where(rng.random(150) < 0.3, 0.0, rng.exponential(size=150)),
+        np.round(3.0 * rng.exponential(size=100)),  # ties at the max
+        np.full(20, 1.7),
+        np.array([4.0]),
+    ]
+    for x in samples:
+        for alpha, scale_l in ((0.5, 1.0), (1.0, 0.0), (2.0, 0.3)):
+            r_grid, log_norms, want = _scipy_moment_norms(
+                x, alpha, scale_l, 200.0, grid_step)
+            _assert_same_bits(oz._grid_moment_norms(np.abs(x), r_grid), log_norms)
+            got = oz.gbo_moment_norm(x, alpha, scale_l, r_max=200.0,
+                                     grid_step=grid_step)
+            _assert_same_bits(got, want)
 
 
 def test_moment_growth_norm_examples():
