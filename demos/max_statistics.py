@@ -17,14 +17,19 @@ from subweibull import (
     Exponential,
     IidCoordinates,
     RngStream,
-    data_max_sample,
     gaussian_analog_sample,
     draw_matrix,
     multiplier_draws,
     parse_config,
-    rho_rectangle_proxy,
     run,
 )
+
+
+def _summary(text):
+    with tempfile.TemporaryDirectory() as out:
+        run(parse_config(text + f"seed = 41\noutput_dir = {out}\n"))
+        with open(Path(out) / "summary.csv", newline="") as handle:
+            return list(csv.DictReader(handle))
 
 
 def main() -> None:
@@ -33,11 +38,13 @@ def main() -> None:
     sigma = np.diag(law.coordinate_variances)
 
     print("distance to the Gaussian analog (2000 max-statistic draws)")
-    for i, n in enumerate((50, 200, 800, 3200)):
-        data = data_max_sample(law, n, 2000, RngStream(41, 10 * i))
-        analog = gaussian_analog_sample(sigma, 2000, RngStream(41, 10 * i + 1))
-        rho = rho_rectangle_proxy(data, analog, grid=4000)
-        print(f"  n={n:<5} rho={rho:.4f}")
+    summary = _summary(
+        f"experiment = clt\nlaw = exponential\nq = {q}\n"
+        "n = 50, 200, 800, 3200\nstat_reps = 2000\nrho_grid = 4000\nreps = 1\n")
+    for cell in summary:
+        print(f"  n={cell['n']:<5} rho={float(cell['median_rho']):.4f}")
+    print(f"  log-log slope {float(summary[0]['slope']):.3f} "
+          f"(se {float(summary[0]['slope_se']):.3f})")
 
     print("\nmultiplier bootstrap quantiles from one sample (n=500)")
     x = draw_matrix(law, 500, RngStream(41, 1000))
@@ -51,13 +58,9 @@ def main() -> None:
     print("\ncoverage of the bootstrap 90% cutoff (500 replications)")
     for law_name, name in (("weibull", "symmetric Weibull(1)"),
                            ("exponential", "centered Exponential(1)")):
-        with tempfile.TemporaryDirectory() as out:
-            run(parse_config(
-                f"experiment = bootstrap\nlaw = {law_name}\nalpha = 1\n"
-                f"q = {q}\nn = 300\nnominal = 0.9\nreps = 500\ndraws = 400\n"
-                f"seed = 41\noutput_dir = {out}\n"))
-            with open(Path(out) / "summary.csv", newline="") as handle:
-                row = next(csv.DictReader(handle))
+        row, = _summary(
+            f"experiment = bootstrap\nlaw = {law_name}\nalpha = 1\n"
+            f"q = {q}\nn = 300\nnominal = 0.9\nreps = 500\ndraws = 400\n")
         coverage, mc_se = float(row["coverage"]), float(row["mc_se"])
         print(f"  {name:<24} coverage={coverage:.3f} (mc se {mc_se:.3f})")
 

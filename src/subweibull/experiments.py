@@ -1,12 +1,15 @@
 """Config-driven experiment batches with reproducible artifacts.
 
 Each experiment is a registry entry pairing a per-task kernel with a
-summariser.  A task owns a block of eight deterministic substreams
-keyed by (grid cell, repetition), so a batch produces byte-identical
-tables for a given seed no matter how many workers execute it or in
-what order they finish.  The driver writes results.csv, summary.csv,
-one SVG per swept axis that has a plot registered, and a manifest.json
-listing every artifact with its SHA-256 digest.
+per-cell summariser and naming one headline column.  A task owns a
+block of eight deterministic substreams keyed by (grid cell,
+repetition), so a batch produces byte-identical tables for a given
+seed no matter how many workers execute it or in what order they
+finish.  The driver writes results.csv, summary.csv, one SVG of the
+headline per grid axis, and a manifest.json listing every artifact
+with its SHA-256 digest.  For an experiment whose claim is a rate in
+n, the driver also fits the summary's headline log-log over n (the
+slope and slope_se columns) and draws its plot over n log-log.
 
 Config files are flat ``key = value`` lines; a '#' at the start of a
 line or after whitespace starts a comment, so values may contain '#'.
@@ -139,15 +142,16 @@ class OptionSpec:
 
 
 @dataclass(frozen=True)
-class PlotSpec:
-    table: str  # results | summary
-    x: str
-    y: str
-    loglog: bool
-
-
-@dataclass(frozen=True)
 class Experiment:
+    """A registered batch.
+
+    ``summarize(config, point, rows)`` returns one cell's summary columns;
+    ``rows`` are the cell's task rows, or what ``collect`` made of them.
+    ``headline`` is the column plotted over every grid axis, taken from
+    results.csv when the experiment has ``collect`` and from summary.csv
+    otherwise; with ``rate`` set it is also fitted log-log over n.
+    """
+
     name: str
     description: str
     scan_keys: tuple
@@ -155,9 +159,10 @@ class Experiment:
     options: tuple
     task: Callable
     summarize: Callable
+    headline: str
+    rate: bool = False
     collect: Optional[Callable] = None
     extra_grid_keys: tuple = ()
-    plots: tuple = ()
     validate: Optional[Callable] = None
 
 
@@ -404,7 +409,7 @@ def _attach_slope(rows, x_key: str, grid_keys, y_key: str) -> None:
     """
     groups = {}
     for row in rows:
-        key = tuple((k, row[k]) for k in grid_keys if k != x_key and k in row)
+        key = tuple((k, row[k]) for k in grid_keys if k != x_key)
         groups.setdefault(key, []).append(row)
     for members in groups.values():
         xs = [row[x_key] for row in members]
@@ -416,6 +421,20 @@ def _attach_slope(rows, x_key: str, grid_keys, y_key: str) -> None:
         for row in members:
             row["slope"] = slope
             row["slope_se"] = se
+
+
+@functools.lru_cache(maxsize=64)
+def _weibull_cell(alpha: float, p: int):
+    """The iid SymmetricWeibull(alpha) design in p coordinates and its
+    read-only covariance.
+
+    Both depend on the cell only, so every rep of the cell shares them;
+    the law is a frozen dataclass and the matrix cannot be written.
+    """
+    law = IidCoordinates(SymmetricWeibull(alpha), p)
+    target = np.diag(law.coordinate_variances)
+    target.flags.writeable = False
+    return law, target
 
 
 # ---------------------------------------------------------------------------
@@ -434,18 +453,13 @@ def _norms_task(config, point, rep, stream):
     }
 
 
-def _norms_summary(config, points, nested):
-    out = []
-    for point, rows in zip(points, nested):
-        out.append({
-            **point,
-            "reps": config.reps,
-            "analytic": rows[0]["analytic"],
-            "median_estimate": _median(rows, "estimate"),
-            "median_abs_rel_error": _median(rows, "abs_rel_error"),
-        })
-    _attach_slope(out, "n", ("alpha", "n"), "median_abs_rel_error")
-    return out
+def _norms_summary(config, point, rows):
+    return {
+        "reps": config.reps,
+        "analytic": rows[0]["analytic"],
+        "median_estimate": _median(rows, "estimate"),
+        "median_abs_rel_error": _median(rows, "abs_rel_error"),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -483,38 +497,20 @@ def _tailcheck_rows(config, point, rows):
     return out
 
 
-def _tailcheck_summary(config, points, nested):
-    out = []
-    for point, rows in zip(points, nested):
-        per_t = _tailcheck_rows(config, point, rows)
-        out.append({
-            **point,
-            "reps": config.reps,
-            "worst_excess": max(row["excess"] for row in per_t),
-            "all_ok": all(row["ok"] for row in per_t),
-        })
-    return out
+def _tailcheck_summary(config, point, rows):
+    return {
+        "reps": config.reps,
+        "worst_excess": max(row["excess"] for row in rows),
+        "all_ok": all(row["ok"] for row in rows),
+    }
 
 
 # ---------------------------------------------------------------------------
 # kernels: covariance max-norm error
 
 
-@functools.lru_cache(maxsize=64)
-def _covariance_cell(alpha: float, p: int):
-    """The coordinate law of a covariance cell and its read-only covariance.
-
-    Both depend on the cell only, so every rep of the cell shares them;
-    the law is a frozen dataclass and the matrix cannot be written.
-    """
-    law = IidCoordinates(SymmetricWeibull(alpha), p)
-    target = np.diag(law.coordinate_variances)
-    target.flags.writeable = False
-    return law, target
-
-
 def _covariance_task(config, point, rep, stream):
-    law, target = _covariance_cell(point["alpha"], point["p"])
+    law, target = _weibull_cell(point["alpha"], point["p"])
     x = draw_matrix(law, point["n"], stream)
     if config.options["centered"]:
         estimate = centered_cov(x)
@@ -523,25 +519,20 @@ def _covariance_task(config, point, rep, stream):
     return {"delta": max_elementwise_error(estimate, target)}
 
 
-def _covariance_summary(config, points, nested):
-    out = []
-    for point, rows in zip(points, nested):
-        law = SymmetricWeibull(point["alpha"])
-        threshold, prob = delta_bound(
-            law.variance, law.psi_norm, point["n"], point["p"],
-            point["alpha"], config.options["t_ref"], config.constants,
-            centered=bool(config.options["centered"]),
-        )
-        out.append({
-            **point,
-            "reps": config.reps,
-            "median_delta": _median(rows, "delta"),
-            "mean_delta": float(np.mean([row["delta"] for row in rows])),
-            "deviation_threshold": threshold,
-            "bound_prob": prob,
-        })
-    _attach_slope(out, "n", ("alpha", "p", "n"), "median_delta")
-    return out
+def _covariance_summary(config, point, rows):
+    law = SymmetricWeibull(point["alpha"])
+    threshold, prob = delta_bound(
+        law.variance, law.psi_norm, point["n"], point["p"],
+        point["alpha"], config.options["t_ref"], config.constants,
+        centered=bool(config.options["centered"]),
+    )
+    return {
+        "reps": config.reps,
+        "median_delta": _median(rows, "delta"),
+        "mean_delta": float(np.mean([row["delta"] for row in rows])),
+        "deviation_threshold": threshold,
+        "bound_prob": prob,
+    }
 
 
 def _covariance_validate(config):
@@ -557,9 +548,9 @@ def _covariance_validate(config):
 
 def _rip_task(config, point, rep, stream):
     alpha, p, k, n = point["alpha"], point["p"], point["k"], point["n"]
-    law = IidCoordinates(SymmetricWeibull(alpha), p)
+    law, target = _weibull_cell(alpha, p)
     x = draw_matrix(law, n, stream)
-    deviation = gram(x) - np.diag(law.coordinate_variances)
+    deviation = gram(x) - target
     exact = rip_exact(deviation, k)
     row = {"exact_value": exact, "net_value": math.nan, "certified": math.nan}
     if k <= 3:
@@ -575,17 +566,12 @@ def _rip_task(config, point, rep, stream):
     return row
 
 
-def _rip_summary(config, points, nested):
-    out = []
-    for point, rows in zip(points, nested):
-        out.append({
-            **point,
-            "reps": config.reps,
-            "median_exact": _median(rows, "exact_value"),
-            "median_net": _median(rows, "net_value"),
-        })
-    _attach_slope(out, "n", ("alpha", "p", "k", "n"), "median_exact")
-    return out
+def _rip_summary(config, point, rows):
+    return {
+        "reps": config.reps,
+        "median_exact": _median(rows, "exact_value"),
+        "median_net": _median(rows, "net_value"),
+    }
 
 
 def _rip_validate(config):
@@ -626,13 +612,13 @@ def _gram_re_check(sigma, k, xi_divisor, xi=None):
 
 def _re_task(config, point, rep, stream):
     alpha, p, k, n = point["alpha"], point["p"], point["k"], point["n"]
-    law = IidCoordinates(SymmetricWeibull(alpha), p)
+    law, _ = _weibull_cell(alpha, p)
     x = draw_matrix(law, n, stream)
     sigma = gram(x)
     xi = None
     if config.options["xi_source"] == "theory":
         upsilon = upsilon_iid(law.max_second_moment,
-                              SymmetricWeibull(alpha).fourth_moment, k)
+                              law.marginal.fourth_moment, k)
         params = RsConvexityParams(
             upsilon=upsilon, k_np=law.marginal_psi_norm, n=n, p=p, k=k,
             alpha=alpha, c_alpha=config.constants.c_alpha_thm34,
@@ -670,18 +656,14 @@ def _re_task(config, point, rep, stream):
     return row
 
 
-def _re_summary(config, points, nested):
-    out = []
-    for point, rows in zip(points, nested):
-        satisfied = [row for row in rows if row["satisfied"]]
-        out.append({
-            **point,
-            "checked": config.reps,
-            "satisfied_count": len(satisfied),
-            "min_margin": (min(row["margin"] for row in satisfied)
-                           if satisfied else math.nan),
-        })
-    return out
+def _re_summary(config, point, rows):
+    satisfied = [row for row in rows if row["satisfied"]]
+    return {
+        "checked": config.reps,
+        "satisfied_count": len(satisfied),
+        "min_margin": (min(row["margin"] for row in satisfied)
+                       if satisfied else math.nan),
+    }
 
 
 def _re_validate(config):
@@ -734,7 +716,7 @@ def _lasso_theory_lambda(config, alpha, n, noise):
 def _lasso_task(config, point, rep, stream):
     alpha, k, n = point["alpha"], point["k"], point["n"]
     p = config.options["p"]
-    design = IidCoordinates(SymmetricWeibull(alpha), p)
+    design, _ = _weibull_cell(alpha, p)
     beta0 = np.zeros(p)
     beta0[:k] = config.options["beta_scale"]
     noise = _lasso_noise(config)
@@ -780,20 +762,15 @@ def _lasso_task(config, point, rep, stream):
     }
 
 
-def _lasso_summary(config, points, nested):
-    out = []
-    for point, rows in zip(points, nested):
-        out.append({
-            **point,
-            "reps": config.reps,
-            "median_lam": _median(rows, "lam"),
-            "median_l2_error": _median(rows, "l2_error"),
-            "applicable_count": sum(row["applicable"] for row in rows),
-            "all_converged": all(row["converged"] for row in rows),
-            "nonconverged": sum(not row["converged"] for row in rows),
-        })
-    _attach_slope(out, "n", ("alpha", "k", "n"), "median_l2_error")
-    return out
+def _lasso_summary(config, point, rows):
+    return {
+        "reps": config.reps,
+        "median_lam": _median(rows, "lam"),
+        "median_l2_error": _median(rows, "l2_error"),
+        "applicable_count": sum(row["applicable"] for row in rows),
+        "all_converged": all(row["converged"] for row in rows),
+        "nonconverged": sum(not row["converged"] for row in rows),
+    }
 
 
 def _lasso_validate(config):
@@ -857,25 +834,20 @@ def _clt_task(config, point, rep, stream):
     return {"rho": rho_rectangle_proxy(data, analog, grid=grid)}
 
 
-def _clt_summary(config, points, nested):
+def _clt_summary(config, point, rows):
     marginal = _clt_marginal(config)
     k_nq = config.options["k_nq"] or marginal.psi_norm
     beta = config.options["beta"] or marginal.tail_exponent
-    out = []
-    for point, rows in zip(points, nested):
-        bound, condition_ok = hdclt_bound(
-            config.options["l_nq"], k_nq, point["n"], point["q"],
-            beta, config.constants,
-        )
-        out.append({
-            **point,
-            "runs": config.reps,
-            "median_rho": _median(rows, "rho"),
-            "bound": bound,
-            "condition_ok": condition_ok,
-        })
-    _attach_slope(out, "n", ("q", "n"), "median_rho")
-    return out
+    bound, condition_ok = hdclt_bound(
+        config.options["l_nq"], k_nq, point["n"], point["q"],
+        beta, config.constants,
+    )
+    return {
+        "runs": config.reps,
+        "median_rho": _median(rows, "rho"),
+        "bound": bound,
+        "condition_ok": condition_ok,
+    }
 
 
 def _clt_validate(config):
@@ -904,27 +876,23 @@ def _bootstrap_validate(config):
         raise ConfigError("bootstrap: nominal must lie in (0, 1)")
 
 
-def _bootstrap_summary(config, points, nested):
+def _bootstrap_summary(config, point, rows):
     nominal = config.options["nominal"]
-    out = []
-    for point, rows in zip(points, nested):
-        coverage = float(np.mean([row["covered"] for row in rows]))
-        mc_se = math.sqrt(coverage * (1.0 - coverage) / config.reps)
-        deviation = coverage - nominal
-        if mc_se > 0.0:
-            z = deviation / mc_se
-        else:
-            z = 0.0 if deviation == 0.0 else math.nan
-        out.append({
-            **point,
-            "reps": config.reps,
-            "nominal": nominal,
-            "coverage": coverage,
-            "mc_se": mc_se,
-            "deviation": deviation,
-            "z": z,
-        })
-    return out
+    coverage = float(np.mean([row["covered"] for row in rows]))
+    mc_se = math.sqrt(coverage * (1.0 - coverage) / config.reps)
+    deviation = coverage - nominal
+    if mc_se > 0.0:
+        z = deviation / mc_se
+    else:
+        z = 0.0 if deviation == 0.0 else math.nan
+    return {
+        "reps": config.reps,
+        "nominal": nominal,
+        "coverage": coverage,
+        "mc_se": mc_se,
+        "deviation": deviation,
+        "z": z,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -964,10 +932,8 @@ _register(Experiment(
     options=(),
     task=_norms_task,
     summarize=_norms_summary,
-    plots=(
-        PlotSpec("summary", "n", "median_abs_rel_error", True),
-        PlotSpec("summary", "alpha", "median_abs_rel_error", False),
-    ),
+    headline="median_abs_rel_error",
+    rate=True,
 ))
 
 _register(Experiment(
@@ -981,12 +947,7 @@ _register(Experiment(
     task=_tailcheck_task,
     collect=_tailcheck_rows,
     summarize=_tailcheck_summary,
-    plots=(
-        PlotSpec("results", "t", "frequency", False),
-        PlotSpec("results", "n", "frequency", False),
-        PlotSpec("results", "alpha", "frequency", False),
-        PlotSpec("results", "q", "frequency", False),
-    ),
+    headline="frequency",
 ))
 
 _register(Experiment(
@@ -1002,11 +963,8 @@ _register(Experiment(
     task=_covariance_task,
     summarize=_covariance_summary,
     validate=_covariance_validate,
-    plots=(
-        PlotSpec("summary", "n", "median_delta", True),
-        PlotSpec("summary", "p", "median_delta", False),
-        PlotSpec("summary", "alpha", "median_delta", False),
-    ),
+    headline="median_delta",
+    rate=True,
 ))
 
 _register(Experiment(
@@ -1019,12 +977,8 @@ _register(Experiment(
     task=_rip_task,
     summarize=_rip_summary,
     validate=_rip_validate,
-    plots=(
-        PlotSpec("summary", "n", "median_exact", True),
-        PlotSpec("summary", "k", "median_exact", False),
-        PlotSpec("summary", "p", "median_exact", False),
-        PlotSpec("summary", "alpha", "median_exact", False),
-    ),
+    headline="median_exact",
+    rate=True,
 ))
 
 _register(Experiment(
@@ -1042,12 +996,7 @@ _register(Experiment(
     task=_re_task,
     summarize=_re_summary,
     validate=_re_validate,
-    plots=(
-        PlotSpec("summary", "n", "satisfied_count", False),
-        PlotSpec("summary", "p", "satisfied_count", False),
-        PlotSpec("summary", "k", "satisfied_count", False),
-        PlotSpec("summary", "alpha", "satisfied_count", False),
-    ),
+    headline="satisfied_count",
 ))
 
 _register(Experiment(
@@ -1072,11 +1021,8 @@ _register(Experiment(
     task=_lasso_task,
     summarize=_lasso_summary,
     validate=_lasso_validate,
-    plots=(
-        PlotSpec("summary", "n", "median_l2_error", True),
-        PlotSpec("summary", "k", "median_l2_error", False),
-        PlotSpec("summary", "alpha", "median_l2_error", False),
-    ),
+    headline="median_l2_error",
+    rate=True,
 ))
 
 _register(Experiment(
@@ -1094,10 +1040,8 @@ _register(Experiment(
     task=_clt_task,
     summarize=_clt_summary,
     validate=_clt_validate,
-    plots=(
-        PlotSpec("summary", "n", "median_rho", True),
-        PlotSpec("summary", "q", "median_rho", False),
-    ),
+    headline="median_rho",
+    rate=True,
 ))
 
 _register(Experiment(
@@ -1114,10 +1058,7 @@ _register(Experiment(
     task=_bootstrap_task,
     summarize=_bootstrap_summary,
     validate=_bootstrap_validate,
-    plots=(
-        PlotSpec("summary", "n", "coverage", False),
-        PlotSpec("summary", "q", "coverage", False),
-    ),
+    headline="coverage",
 ))
 
 
@@ -1189,7 +1130,7 @@ def _tick_label(value: float, loglog: bool) -> str:
 
 
 def emit_plot(table: CsvTable, x: str, y: str, *, loglog: bool,
-              path: Path, title: Optional[str] = None) -> None:
+              path: Path) -> None:
     """Write a self-contained scatter-plus-line SVG for column y vs x.
 
     Points are drawn as circles, one per row.  Under loglog both axes
@@ -1274,7 +1215,7 @@ def emit_plot(table: CsvTable, x: str, y: str, *, loglog: bool,
     )
     parts.append(
         f'<text x="{_ML}" y="24" {common} font-size="14">'
-        f'{title or f"{y} vs {x}"}</text>'
+        f'{y} vs {x}</text>'
     )
     if annotation is not None:
         parts.append(
@@ -1396,15 +1337,19 @@ def run(config: ExperimentConfig) -> RunManifest:
     nested = _execute(config, spec, points)
 
     result_rows = []
+    summary_rows = []
     for cell, (point, rows) in enumerate(zip(points, nested)):
         if spec.collect is not None:
-            result_rows.extend(spec.collect(config, point, rows))
+            rows = spec.collect(config, point, rows)
+            result_rows.extend(rows)
         else:
             base = cell * _GRID_STRIDE * _BLOCK
             for rep, row in enumerate(rows):
                 result_rows.append({**point, "rep": rep,
                                     "stream": base + rep * _BLOCK, **row})
-    summary_rows = spec.summarize(config, points, nested)
+        summary_rows.append({**point, **spec.summarize(config, point, rows)})
+    if spec.rate:
+        _attach_slope(summary_rows, "n", spec.scan_keys, spec.headline)
     stalled = sum(row.get("nonconverged", 0) for row in summary_rows)
     notes = ()
     if stalled:
@@ -1422,13 +1367,14 @@ def run(config: ExperimentConfig) -> RunManifest:
     write_csv(summary_path, summary)
     files.append(_digest(summary_path))
 
-    for plot in spec.plots:
-        table = results if plot.table == "results" else summary
-        sub = _plot_subtable(config, table, plot.x)
+    table = results if spec.collect is not None else summary
+    for axis in spec.scan_keys + spec.extra_grid_keys:
+        sub = _plot_subtable(config, table, axis)
         if sub is None:
             continue
-        plot_path = out_dir / f"{plot.y}_vs_{plot.x}.svg"
-        emit_plot(sub, plot.x, plot.y, loglog=plot.loglog, path=plot_path)
+        plot_path = out_dir / f"{spec.headline}_vs_{axis}.svg"
+        emit_plot(sub, axis, spec.headline, loglog=spec.rate and axis == "n",
+                  path=plot_path)
         files.append(_digest(plot_path))
 
     manifest = RunManifest(

@@ -58,6 +58,13 @@ __all__ = [
 # limit are reported as inf rather than raising.
 _EXP_LIMIT = 709.0
 
+# _logsumexp_rows holds three arrays of its input's size at once: the
+# product r log|x| (8 bytes a value), the tie mask (1) and the scratch
+# copy (8).  _grid_moment_norms passes it blocks of r rows that keep the
+# three within this many bytes (32 MB), and never less than one row.
+_LSE_BLOCK_BYTES = 1 << 25
+_LSE_BYTES_PER_VALUE = 17
+
 # The Newton solve of the two-regime shape stops once every step is this
 # many ulp of its iterate or less.
 _NEWTON_ULP = 4.0
@@ -437,13 +444,14 @@ def _grid_moment_norms(x: np.ndarray, r_grid: np.ndarray) -> np.ndarray:
     Log-space accumulation (``_logsumexp_rows`` over r log|x|, with
     log 0 = -inf) keeps r up to several hundred from overflowing
     mean |x|^r.  Work is chunked so the m-by-grid matrix stays within
-    a fixed memory budget.
+    a fixed memory budget; each row is reduced on its own, so the block
+    size does not change the bits.
     """
     m = x.size
     with np.errstate(divide="ignore"):
         log_abs = np.log(x)
     out = np.empty(r_grid.size)
-    chunk = max(1, int(2e7) // m)
+    chunk = max(1, _LSE_BLOCK_BYTES // (_LSE_BYTES_PER_VALUE * m))
     for start in range(0, r_grid.size, chunk):
         rs = r_grid[start : start + chunk]
         block = _logsumexp_rows(rs[:, None] * log_abs[None, :])

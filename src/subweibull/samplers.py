@@ -530,11 +530,6 @@ class VectorLaw:
         return float(np.max(self.coordinate_variances + means**2))
 
     @property
-    def mean_zero(self) -> bool:
-        means = self.coordinate_means
-        return bool(np.all(means == 0.0))
-
-    @property
     def marginal_psi_norm(self):
         return None
 

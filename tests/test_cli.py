@@ -110,11 +110,7 @@ def test_run_invariant_violation_exits_3(tmp_path, capsys):
     def boom(config, point, rep, stream):
         raise ex.InvariantViolation("forced for the test")
 
-    ex.REGISTRY["boom"] = ex.Experiment(
-        name="boom", description="always fails",
-        scan_keys=spec.scan_keys, grid_defaults=spec.grid_defaults,
-        options=(), task=boom, summarize=spec.summarize,
-    )
+    ex.REGISTRY["boom"] = dataclasses.replace(spec, name="boom", task=boom)
     try:
         cfg = _write_config(tmp_path, "experiment = boom\nn = 100\nreps = 1\n")
         assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 3

@@ -466,7 +466,8 @@ def test_lasso_summary_counts_nonconverged_fits():
                 "converged": converged}
 
     nested = [[row(True), row(False), row(False)], [row(True)] * 3]
-    summary = ex._lasso_summary(config, points, nested)
+    summary = [ex._lasso_summary(config, point, rows)
+               for point, rows in zip(points, nested)]
     assert [cell["nonconverged"] for cell in summary] == [2, 0]
     assert [cell["all_converged"] for cell in summary] == [False, True]
 
@@ -582,11 +583,7 @@ def test_run_propagates_invariant_violations(tmp_path):
     def boom(config, point, rep, stream):
         raise ex.InvariantViolation("forced for the test")
 
-    ex.REGISTRY["boom"] = ex.Experiment(
-        name="boom", description="always fails",
-        scan_keys=spec.scan_keys, grid_defaults=spec.grid_defaults,
-        options=(), task=boom, summarize=spec.summarize,
-    )
+    ex.REGISTRY["boom"] = dataclasses.replace(spec, name="boom", task=boom)
     try:
         config = _parse(
             f"experiment = boom\nalpha = 1\nn = 100\nreps = 1\n"
@@ -613,11 +610,8 @@ def test_threaded_run_stops_at_first_failure(tmp_path):
         time.sleep(0.01)
         return {"estimate": 1.0}
 
-    ex.REGISTRY["first_fails"] = ex.Experiment(
-        name="first_fails", description="first task fails",
-        scan_keys=spec.scan_keys, grid_defaults=spec.grid_defaults,
-        options=(), task=first_fails, summarize=spec.summarize,
-    )
+    ex.REGISTRY["first_fails"] = dataclasses.replace(
+        spec, name="first_fails", task=first_fails)
     try:
         config = _parse(
             f"experiment = first_fails\nalpha = 1\nn = 100\nreps = 40\n"
@@ -638,8 +632,46 @@ def test_list_experiments_names():
                           "lasso", "clt", "bootstrap"}
 
 
-def test_every_scanned_axis_has_a_plot():
-    for exp in ex.REGISTRY.values():
-        plotted = {plot.x for plot in exp.plots}
-        for key in exp.scan_keys + exp.extra_grid_keys:
-            assert key in plotted, f"{exp.name}: no plot over {key}"
+# Small configs with two values on every grid axis of each experiment.
+TWO_PER_AXIS = {
+    "norms": "alpha = 1, 2\nn = 50, 100\nreps = 2\n",
+    "tailcheck": "alpha = 1, 2\nn = 10, 20\nq = 2, 3\nt = 1, 2\nreps = 5\n",
+    "covariance": "alpha = 1, 2\np = 3, 4\nn = 20, 40\nreps = 2\n",
+    "rip": "alpha = 1, 2\np = 4, 5\nk = 1, 2\nn = 20, 40\nreps = 1\n",
+    "re": ("alpha = 1, 2\np = 4, 5\nk = 1, 2\nn = 20, 40\nreps = 1\n"
+           "cone_trials = 10\n"),
+    "lasso": "alpha = 1, 2\nk = 1, 2\nn = 30, 60\np = 5\nreps = 1\n",
+    "clt": "q = 2, 3\nn = 20, 40\nstat_reps = 20\nreps = 1\n",
+    "bootstrap": "q = 2, 3\nn = 20, 40\ndraws = 20\nreps = 2\n",
+}
+
+
+def test_run_plots_the_headline_over_every_axis(tmp_path):
+    assert set(TWO_PER_AXIS) == set(ex.REGISTRY)
+    for name, spec in ex.REGISTRY.items():
+        manifest, out = _run(f"experiment = {name}\n" + TWO_PER_AXIS[name],
+                             tmp_path, name)
+        axes = spec.scan_keys + spec.extra_grid_keys
+        assert all(len(manifest.config_echo[key].split(",")) == 2
+                   for key in axes), name
+        svgs = {f["name"] for f in manifest.files if f["name"].endswith(".svg")}
+        assert svgs == {f"{spec.headline}_vs_{axis}.svg" for axis in axes}, name
+        header = _read_rows(out / "summary.csv")[0].keys()
+        assert ("slope" in header) == spec.rate, name
+        assert ("slope_se" in header) == spec.rate, name
+
+
+def test_run_tailcheck_summary_reduces_its_results(tmp_path):
+    manifest, out = _run(
+        "experiment = tailcheck\n" + TWO_PER_AXIS["tailcheck"], tmp_path)
+    results = _read_rows(out / "results.csv")
+    summary = _read_rows(out / "summary.csv")
+    assert len(summary) == 8
+    for cell in summary:
+        rows = [row for row in results
+                if all(row[key] == cell[key] for key in ("alpha", "n", "q"))]
+        assert len(rows) == 2
+        assert cell["worst_excess"] == max(
+            (row["excess"] for row in rows), key=float)
+        assert cell["all_ok"] == ("1" if all(row["ok"] == "1" for row in rows)
+                                  else "0")

@@ -315,6 +315,40 @@ def test_gbo_moment_norm_matches_scipy_reference(grid_step):
             _assert_same_bits(got, want)
 
 
+def test_gbo_moment_norm_block_size_keeps_the_bits(monkeypatch):
+    # The r grid is cut into blocks of rows; each row is reduced on its
+    # own, so one row per block, the default budget and the former
+    # 2e7-value blocks give the same bits.
+    rng = np.random.default_rng(33)
+    samples = [
+        np.where(rng.random(4000) < 0.3, 0.0, rng.weibull(0.5, 4000)),  # zeros
+        np.round(3.0 * rng.exponential(size=3000)),  # ties at the max
+        np.full(500, 1.7),
+        rng.standard_normal(200_000),
+    ]
+    budgets = (oz._LSE_BLOCK_BYTES, 1, oz._LSE_BYTES_PER_VALUE * 20_000_000)
+    for x in samples:
+        results = []
+        for budget in budgets:
+            monkeypatch.setattr(oz, "_LSE_BLOCK_BYTES", budget)
+            results.append(oz.gbo_moment_norm(x, 1.0, 0.5, r_max=100.0))
+        for got in results[:2]:
+            _assert_same_bits(got, results[2])
+
+
+def test_gbo_moment_norm_memory_stays_bounded():
+    import tracemalloc
+
+    x = np.random.default_rng(34).standard_normal(10**6)
+    tracemalloc.start()
+    try:
+        oz.gbo_moment_norm(x, 1.0, 1.0, r_max=50.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+
+
 def test_moment_growth_norm_examples():
     # The moment-growth norm sup_r ||x||_r / r^(1/alpha) is gbo_moment_norm
     # at L = 0; the denominator is again minimized at r = 1.

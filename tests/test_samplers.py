@@ -209,15 +209,13 @@ def test_ppf_matches_sampling():
         assert ks.statistic < 0.01
 
 
-def test_vector_law_mean_zero_invariant():
+def test_iid_coordinates_moments():
     n = 2 * 10**5
     law = sp.IidCoordinates(sp.SymmetricWeibull(1.0), 6)
-    assert law.mean_zero
     means = sp.draw_matrix(law, n, sp.RngStream(17, 0)).values.mean(axis=0)
     assert np.all(np.abs(means) <= 4.0 * np.sqrt(law.coordinate_variances / n))
     # an uncentred marginal: Exponential(rate 2) has mean 1/2, variance 1/4
     law = sp.IidCoordinates(sp.Exponential(2.0), 3)
-    assert not law.mean_zero
     assert np.array_equal(law.coordinate_means, np.full(3, 0.5))
     assert np.array_equal(law.coordinate_variances, np.full(3, 0.25))
     assert law.max_second_moment == 0.5
