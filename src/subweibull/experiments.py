@@ -610,6 +610,17 @@ def _gram_re_check(sigma, k, xi_divisor, xi=None):
     return report
 
 
+def _re_theory_xi(config, law, k, n):
+    """The theory xi of the RE check for the iid design ``law``."""
+    upsilon = upsilon_iid(law.max_second_moment, law.marginal.fourth_moment, k)
+    params = RsConvexityParams(
+        upsilon=upsilon, k_np=law.marginal_psi_norm, n=n, p=law.dim, k=k,
+        alpha=law.marginal.tail_exponent,
+        c_alpha=config.constants.c_alpha_thm34,
+    )
+    return xi_bound(params)
+
+
 def _re_task(config, point, rep, stream):
     alpha, p, k, n = point["alpha"], point["p"], point["k"], point["n"]
     law, _ = _weibull_cell(alpha, p)
@@ -617,13 +628,7 @@ def _re_task(config, point, rep, stream):
     sigma = gram(x)
     xi = None
     if config.options["xi_source"] == "theory":
-        upsilon = upsilon_iid(law.max_second_moment,
-                              law.marginal.fourth_moment, k)
-        params = RsConvexityParams(
-            upsilon=upsilon, k_np=law.marginal_psi_norm, n=n, p=p, k=k,
-            alpha=alpha, c_alpha=config.constants.c_alpha_thm34,
-        )
-        xi = xi_bound(params)
+        xi = _re_theory_xi(config, law, k, n)
     report = _gram_re_check(sigma, k, config.options["xi_divisor"], xi)
     row = {
         "lambda_min": report.lambda_min,
@@ -671,6 +676,17 @@ def _re_validate(config):
         for k in config.grids["k"]:
             if k > p:
                 raise ConfigError(f"re: k={k} exceeds p={p}")
+    if config.options["xi_source"] == "theory":
+        for alpha, p, k, n in itertools.product(
+                *(config.grids[key] for key in ("alpha", "p", "k", "n"))):
+            law = IidCoordinates(SymmetricWeibull(alpha), p)
+            try:
+                _re_theory_xi(config, law, k, n)
+            except (ValueError, OverflowError) as exc:
+                raise ConfigError(
+                    f"re: no theory xi at alpha={alpha:g}, p={p}, k={k}, "
+                    f"n={n}: {exc}"
+                ) from None
     # A cone direction has theta'theta <= 1 + k delta^2; half the largest
     # float leaves room for rounding in the sums of squares.
     delta, k = config.options["cone_delta"], max(config.grids["k"])
@@ -834,14 +850,17 @@ def _clt_task(config, point, rep, stream):
     return {"rho": rho_rectangle_proxy(data, analog, grid=grid)}
 
 
-def _clt_summary(config, point, rows):
+def _clt_bound(config, q, n):
+    """``hdclt_bound`` at one cell, k_nq and beta derived where 0."""
     marginal = _clt_marginal(config)
     k_nq = config.options["k_nq"] or marginal.psi_norm
     beta = config.options["beta"] or marginal.tail_exponent
-    bound, condition_ok = hdclt_bound(
-        config.options["l_nq"], k_nq, point["n"], point["q"],
-        beta, config.constants,
-    )
+    return hdclt_bound(config.options["l_nq"], k_nq, n, q, beta,
+                       config.constants)
+
+
+def _clt_summary(config, point, rows):
+    bound, condition_ok = _clt_bound(config, point["q"], point["n"])
     return {
         "runs": config.reps,
         "median_rho": _median(rows, "rho"),
@@ -853,6 +872,15 @@ def _clt_summary(config, point, rows):
 def _clt_validate(config):
     if config.options["rho_grid"] == 1:
         raise ConfigError("clt: rho_grid must be 0 (exact pooled grid) or at least 2")
+    for q, n in itertools.product(config.grids["q"], config.grids["n"]):
+        try:
+            _clt_bound(config, q, n)
+        except ValueError as exc:
+            raise ConfigError(f"clt: no bound at q={q}, n={n}: {exc}") from None
+        except OverflowError:
+            raise ConfigError(
+                f"clt: the bound overflows float64 at q={q}, n={n}"
+            ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -1302,9 +1330,13 @@ def _config_echo(config: ExperimentConfig) -> dict:
     return echo
 
 
-def _plot_subtable(config: ExperimentConfig, table: CsvTable,
-                   x: str) -> Optional[CsvTable]:
-    """Rows at the first configured value of every grid axis except x."""
+def _plot_subtable(config: ExperimentConfig, table: CsvTable, x: str,
+                   y: str, loglog: bool) -> Optional[CsvTable]:
+    """Rows at the first configured value of every grid axis except x.
+
+    Under loglog only the rows with positive x and y are kept, the
+    points log axes can show: a zero headline is valid data.
+    """
     keep = []
     for key, values in config.grids.items():
         if key == x or key not in table.header:
@@ -1312,6 +1344,10 @@ def _plot_subtable(config: ExperimentConfig, table: CsvTable,
         keep.append((table.header.index(key), values[0]))
     rows = [row for row in table.rows
             if all(row[idx] == val for idx, val in keep)]
+    if loglog:
+        xi, yi = table.header.index(x), table.header.index(y)
+        rows = [row for row in rows
+                if float(row[xi]) > 0.0 and float(row[yi]) > 0.0]
     if len({row[table.header.index(x)] for row in rows}) < 2:
         return None
     return CsvTable(table.header, tuple(rows))
@@ -1369,12 +1405,12 @@ def run(config: ExperimentConfig) -> RunManifest:
 
     table = results if spec.collect is not None else summary
     for axis in spec.scan_keys + spec.extra_grid_keys:
-        sub = _plot_subtable(config, table, axis)
+        loglog = spec.rate and axis == "n"
+        sub = _plot_subtable(config, table, axis, spec.headline, loglog)
         if sub is None:
             continue
         plot_path = out_dir / f"{spec.headline}_vs_{axis}.svg"
-        emit_plot(sub, axis, spec.headline, loglog=spec.rate and axis == "n",
-                  path=plot_path)
+        emit_plot(sub, axis, spec.headline, loglog=loglog, path=plot_path)
         files.append(_digest(plot_path))
 
     manifest = RunManifest(

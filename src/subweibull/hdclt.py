@@ -26,6 +26,9 @@ standard normal weighted centered rows.  Conditional on the data the
 bootstrap statistic is the max of a Gaussian vector with the centered
 sample covariance, which is what ``gaussian_analog_sample`` draws from
 directly; the two paths agree in law and the tests hold them to that.
+The weighted sum e'C of the n x q centered rows C is drawn through the
+R factor of C = QR: Q'e is again standard normal, in k = min(n, q)
+dimensions, so a draw costs k multipliers and a k x q product, not n.
 Bootstrap quantiles are ``np.quantile`` of the draws, whose default
 linear interpolation (the type-7 rule) is reproducible across
 implementations.  Bootstrap multipliers are standard normal only; no
@@ -54,6 +57,8 @@ __all__ = [
 # Eigenvalues of a valid covariance may round slightly negative; below
 # this the matrix is treated as genuinely indefinite.
 _EIGENVALUE_SLACK = -1e-10
+# multiplier_draws forms at most this many products z'R at once.
+_DRAW_BLOCK_VALUES = 4_000_000
 
 
 def max_statistic(rows: np.ndarray, center) -> float:
@@ -165,6 +170,8 @@ def hdclt_bound(l_nq, k_nq, n, q, beta, constants=None):
         constants = BoundConstants()
     if not (l_nq > 0 and k_nq > 0 and n > 0 and beta > 0):
         raise ValueError("l_nq, k_nq, n, and beta must be positive")
+    if not constants.k2_clt > 0:
+        raise ValueError("k2_clt must be positive")
     if not q >= 1:
         raise ValueError("q must be at least 1")
     log_q = math.log(q)
@@ -180,21 +187,25 @@ def hdclt_bound(l_nq, k_nq, n, q, beta, constants=None):
 
 
 def multiplier_draws(w: DataMatrix, draws: int, rng: RngStream) -> np.ndarray:
-    """Draws of max_j (1/sqrt(n)) sum_i e_i (W_i - Wbar)(j), e_i iid N(0,1)."""
+    """Draws of max_j (1/sqrt(n)) sum_i e_i (W_i - Wbar)(j), e_i iid N(0,1).
+
+    With C the centered rows and C = QR its thin QR factorisation (R is
+    k x q, k = min(n, q)), e'C = (Q'e)'R and Q'e is standard normal in
+    R^k, so each draw is max_j (z'R)_j / sqrt(n) with z ~ N(0, I_k): k
+    multipliers per draw instead of n, the same conditional law.
+    """
     if w.n < 2:
         raise ValueError("multiplier bootstrap needs at least 2 rows")
     if draws < 1:
         raise ValueError("draws must be at least 1")
     centered = w.values - w.values.mean(axis=0)
+    r = np.linalg.qr(centered, mode="r")
     gen = rng.generator()
-    draws = int(draws)
-    out = np.empty(draws)
-    # Multiplier maxima in blocks so draws x n never materializes at once.
-    block = max(1, 4_000_000 // w.n)
-    done = 0
-    while done < draws:
-        m = min(block, draws - done)
-        e = gen.standard_normal((m, w.n))
-        out[done : done + m] = (e @ centered).max(axis=1)
-        done += m
+    out = np.empty(int(draws))
+    # Blocks of draws, so draws x q never materialises at once; the
+    # normals are drawn in the same order whatever the block size.
+    block = max(1, _DRAW_BLOCK_VALUES // w.p)
+    for start in range(0, out.size, block):
+        z = gen.standard_normal((min(block, out.size - start), r.shape[0]))
+        out[start:start + z.shape[0]] = (z @ r).max(axis=1)
     return out / math.sqrt(w.n)

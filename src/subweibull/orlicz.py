@@ -70,6 +70,8 @@ _LSE_BYTES_PER_VALUE = 17
 _NEWTON_ULP = 4.0
 # Relative widening of the closed-form bracket of the two-regime root.
 _BRACKET_SLACK = 2.0 ** -20
+# log log 2, the level of log log1p(mean g) at the norm.
+_LOG_LOG2 = math.log(math.log(2.0))
 # Guard on the Newton loop.  The starting bracket is at most a factor 2
 # wide and a step leaving it falls back to bisection, so the loop ends
 # well before this in float64.
@@ -129,8 +131,8 @@ class OrliczSpec:
 class NormEstimate:
     """Result of an empirical Orlicz norm computation.
 
-    ``value`` carries the bisection midpoint, ``tolerance`` the final
-    bracket half-width, ``evaluations`` the number of sample sweeps, and
+    ``value`` carries the midpoint of the final bracket, ``tolerance``
+    its half-width, ``evaluations`` the number of sample sweeps, and
     ``degenerate`` flags the all-zero sample (norm exactly 0).
     """
 
@@ -308,60 +310,114 @@ def _abs_sample(sample) -> np.ndarray:
 
 
 def _mean_g(spec: OrliczSpec, x: np.ndarray, xmax: float):
-    """eta -> mean_i g(x_i / eta) for a nonnegative sample with max xmax > 0.
+    """eta -> (mean_i g(x_i / eta), its derivative in log eta).
 
-    Works in exponent space: g(x/eta) = expm1(h^{-1}(x/eta)), and for the
-    closed-form families h^{-1}(x/eta) is a fixed power of x times a power
-    of 1/eta.  The powers of x are taken once, on x / xmax so they neither
-    overflow nor underflow, and each call makes one pass over a reused
-    buffer.  Exponents past the float64 range give inf.
+    For a nonnegative sample with max xmax > 0.  Works in exponent space:
+    g(x/eta) = expm1(u) with u = h^{-1}(x/eta), and for the closed-form
+    families u is a fixed power of x times a power of 1/eta.  The powers
+    of x are taken once, on x / xmax so they neither overflow nor
+    underflow, and each call makes one pass over two reused buffers: u,
+    then g.  The derivative is -mean(e^u w) with w = -du/d(log eta),
+    which the same buffers give as the dot of g with w plus the sum of w.
+    Exponents past the float64 range give inf.
     """
     r = x / xmax
+    m = r.size
     buf = np.empty_like(r)
+    g = np.empty_like(r)
     alpha = spec.alpha
+
+    def moments(w: np.ndarray):
+        # mean of g = expm1(u), and -mean((g + 1) w)
+        return float(g.mean()), -float(np.dot(g, w) + w.sum()) / m
+
     if spec.family is Family.PSI_ALPHA:
         y = r ** alpha
 
-        def mean_g(eta: float) -> float:
+        def mean_g(eta: float):
             np.multiply(y, (xmax / eta) ** alpha, out=buf)
-            return float(np.expm1(buf, out=buf).mean())
+            np.expm1(buf, out=g)
+            np.multiply(buf, alpha, out=buf)
+            return moments(buf)
 
     elif spec.family is Family.GBO_PHI:
         squares = r * r
         y = r ** alpha
-        tail = np.empty_like(r)
+        tail = np.empty(m, dtype=bool)
 
-        def mean_g(eta: float) -> float:
+        def mean_g(eta: float):
             s = xmax / eta
             np.multiply(squares, s * s, out=buf)
-            np.multiply(y, (s / spec.scale_l) ** alpha, out=tail)
-            np.minimum(buf, tail, out=buf)
-            return float(np.expm1(buf, out=buf).mean())
+            np.multiply(y, (s / spec.scale_l) ** alpha, out=g)
+            np.less_equal(g, buf, out=tail)
+            np.minimum(buf, g, out=buf)
+            np.expm1(buf, out=g)
+            # -du/d(log eta) is 2u on the square branch, alpha u on the tail
+            np.multiply(buf, 2.0, out=buf)
+            np.multiply(buf, 0.5 * alpha, out=buf, where=tail)
+            return moments(buf)
 
     else:
-        def mean_g(eta: float) -> float:
+        p = 2.0 / alpha
+
+        def mean_g(eta: float):
             np.divide(x, eta, out=buf)
             v = _two_regime_root(buf, alpha, spec.scale_l)
-            np.square(v, out=v)
-            return float(np.expm1(v, out=v).mean())
+            np.square(v, out=g)
+            np.expm1(g, out=g)
+            # v + L v^p = x/eta, whose log-eta derivative is -x/eta, so
+            # -du/d(log eta) = 2 v (x/eta) / (1 + L p v^(p-1)) for u = v^2,
+            # which is 0 at v = 0
+            np.multiply(buf, v, out=buf)
+            if spec.scale_l > 0.0:
+                with np.errstate(divide="ignore"):
+                    np.power(v, p - 1.0, out=v)
+                v *= spec.scale_l * p
+                v += 1.0
+                np.divide(buf, v, out=buf)
+            np.multiply(buf, 2.0, out=buf)
+            return moments(buf)
 
     return mean_g
+
+
+def _log_newton_step(mean: float, slope: float) -> float:
+    """Newton step in log eta on log log1p(mean) = log log 2, or nan.
+
+    log1p(mean) is exactly (x/eta)^alpha for a sample of one repeated
+    value under psi_alpha, so the function is close to linear in
+    log eta and Newton converges in a few steps.  ``slope`` is the
+    derivative of ``mean`` in log eta.
+    """
+    level = math.log1p(mean)
+    if not (0.0 < level < math.inf and slope < 0.0):
+        return math.nan
+    return -(math.log(level) - _LOG_LOG2) * (1.0 + mean) * level / slope
 
 
 def empirical_norm(sample, spec: OrliczSpec, tol: float = 1e-6) -> NormEstimate:
     """Orlicz norm of the empirical distribution of ``sample``.
 
-    Computes inf{eta : mean_i g(|x_i|/eta) <= 1} by bisection.  The
-    mean is decreasing in eta and the starting bracket
+    Computes inf{eta : mean_i g(|x_i|/eta) <= 1}.  The mean is
+    decreasing in eta and the starting bracket
 
         [max|x| / g^{-1}(m),  max|x| / g^{-1}(1/m)]
 
     provably contains the norm (the left end forces the max term alone
     to mean 1; the right end caps every term at 1/m).
 
-    Each bisection step is one sweep in exponent space.  For psi_alpha
-    and gbo_phi the powers |x|^alpha (and |x|^2) are computed once, so a
-    sweep is a scaling, an expm1 and a mean over one reused buffer.  The
+    The root is found by safeguarded Newton in t = log eta on
+    log log1p(mean) = log log 2, started at the right end of the
+    bracket.  Every evaluated point moves one end of the bracket; a
+    Newton point outside the bracket is replaced by the bracket's
+    geometric midpoint, and a Newton step shorter than a quarter of the
+    target width log1p(2 tol) is lengthened by that quarter, so the next
+    point lands past the root and closes the bracket.
+
+    Each step is one sweep in exponent space that returns the mean and
+    its slope in log eta from the same buffers.  For psi_alpha and
+    gbo_phi the powers |x|^alpha (and |x|^2) are computed once, so a
+    sweep is a scaling, an expm1, a sum and a dot product.  The
     two-regime family has no closed form: each sweep solves
     h(u) = |x_i|/eta by a safeguarded Newton iteration.
 
@@ -372,7 +428,8 @@ def empirical_norm(sample, spec: OrliczSpec, tol: float = 1e-6) -> NormEstimate:
     spec : OrliczSpec
         Function family to use.
     tol : float
-        Relative bisection tolerance on eta.
+        Relative tolerance on eta: the search stops once the bracket
+        satisfies hi - lo <= 2 tol lo.
 
     Returns
     -------
@@ -392,25 +449,37 @@ def empirical_norm(sample, spec: OrliczSpec, tol: float = 1e-6) -> NormEstimate:
     sweep = _mean_g(spec, x, xmax)
     evaluations = 0
 
-    def mean_g(eta: float) -> float:
+    def mean_g(eta: float):
         nonlocal evaluations
         evaluations += 1
         return sweep(eta)
 
+    nudge = 0.25 * math.log1p(2.0 * tol)
     with np.errstate(over="ignore"):
         # The bracket is analytic, but guard against float rounding at the ends.
         for _ in range(64):
-            if mean_g(hi) <= 1.0:
+            mean, slope = mean_g(hi)
+            if mean <= 1.0:
                 break
             hi *= 2.0
+        eta = hi
         for _ in range(200):
             if (hi - lo) <= 2.0 * tol * max(lo, np.finfo(float).tiny):
                 break
-            mid = 0.5 * (lo + hi)
-            if mean_g(mid) > 1.0:
-                lo = mid
+            # the root lies right of lo and left of hi
+            toward = 1.0 if eta == lo else -1.0
+            step = _log_newton_step(mean, slope)
+            if abs(step) < nudge:
+                step += toward * nudge
+            if abs(step) < math.log(hi / lo):
+                eta *= math.exp(step)
+            if not lo < eta < hi:
+                eta = lo * math.sqrt(hi / lo)
+            mean, slope = mean_g(eta)
+            if mean > 1.0:
+                lo = eta
             else:
-                hi = mid
+                hi = eta
     return NormEstimate(
         value=0.5 * (lo + hi),
         tolerance=0.5 * (hi - lo),

@@ -33,17 +33,20 @@ one generator.  The sums consume a stream differently from the rows, so
 the two paths agree in law, not bit for bit.
 
 Randomness is splittable: an ``RngStream`` is a (seed, stream_id) pair
-and every draw operation builds a fresh counter-based generator from it,
-so the same stream always reproduces the same values bit for bit and
-replications can run on any worker layout without sequence coupling.
-Callers wanting fresh draws use fresh stream ids.
+and every draw operation builds a fresh generator from it, so the same
+stream always reproduces the same values bit for bit and replications
+can run on any worker layout without sequence coupling.  Callers wanting
+fresh draws use fresh stream ids.
 
-The contract: the stream's generator is ``Philox`` keyed by
-``SeedSequence(entropy=[seed, stream_id]).generate_state(2, np.uint64)``.
-A batch of task streams (``RngStream.keyed``) gets every key in one
-vectorised pass of that hash over the array of stream ids; the keys equal
-``SeedSequence``'s word for word, which a test pins, so a keyed stream and
-the same stream without a key draw the same values.
+The contract: the stream's generator is ``SFC64`` seeded with
+``SeedSequence(entropy=[seed, stream_id]).generate_state(3, np.uint64)``,
+which is what ``SFC64(SeedSequence(...))`` reads; seeding through
+``SeedSequence`` is numpy's recommended way to get independent SFC64
+streams from distinct entropy.  A batch of task streams
+(``RngStream.keyed``) gets every seed in one vectorised pass of that
+hash over the array of stream ids; the seeds equal ``SeedSequence``'s
+word for word, which a test pins, so a keyed stream and the same stream
+without a key draw the same values.
 """
 
 from __future__ import annotations
@@ -79,8 +82,10 @@ _CHUNK = 2**15
 
 # numpy's SeedSequence hash (a pool of four 32-bit words): the running
 # hash constants of its entropy mixing (A) and of ``generate_state`` (B).
+# SFC64 reads three uint64 seed words, i.e. six uint32 state words.
 _MASK32 = 0xFFFFFFFF
 _POOL = 4
+_STATE_WORDS = 6
 _XSHIFT = 16
 _MIX_L = np.uint32(0xCA01F9DD)
 _MIX_R = np.uint32(0x4973F715)
@@ -95,12 +100,12 @@ def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
 
 # the pool is hashed in once, then every ordered pair of its words is mixed
 _HASH_A = _hash_constants(0x43B0D7E5, 0x931E8875, _POOL * _POOL)
-_HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, _POOL)
+_HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, _STATE_WORDS)
 
 
-def _philox_keys(seed: int, stream_ids) -> np.ndarray:
-    """(len(stream_ids), 2) uint64 keys: row i is
-    ``SeedSequence(entropy=[seed, stream_ids[i]]).generate_state(2, np.uint64)``.
+def _stream_keys(seed: int, stream_ids) -> np.ndarray:
+    """(len(stream_ids), 3) uint64 seeds: row i is
+    ``SeedSequence(entropy=[seed, stream_ids[i]]).generate_state(3, np.uint64)``.
 
     The entropy is the seed's 32-bit words then the id's, least
     significant first, hashed into the pool with zeros past its end; an id
@@ -130,23 +135,25 @@ def _philox_keys(seed: int, stream_ids) -> np.ndarray:
             pool[dst] = mixed
             step += 1
 
-    pool ^= _HASH_B[:_POOL, None]
-    pool *= _HASH_B[1:, None]
-    pool ^= pool >> _XSHIFT
-    # generate_state reads its four words as two little-endian uint64
-    words = np.ascontiguousarray(pool.T, dtype="<u4")
+    # generate_state cycles over the pool, one hash constant per word,
+    # and reads its six words as three little-endian uint64
+    state = pool[np.arange(_STATE_WORDS) % _POOL]
+    state ^= _HASH_B[:_STATE_WORDS, None]
+    state *= _HASH_B[1:, None]
+    state ^= state >> _XSHIFT
+    words = np.ascontiguousarray(state.T, dtype="<u4")
     return words.view("<u8").astype(np.uint64, copy=False)
 
 
-class _PhiloxKey(ISeedSequence):
-    """A Philox key already derived, handed to ``Philox`` as its seed."""
+class _StreamKey(ISeedSequence):
+    """SFC64 seed words already derived, handed to ``SFC64`` as its seed."""
 
     def __init__(self, key: np.ndarray) -> None:
         self._key = key
 
     def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 2 or np.dtype(dtype) != np.uint64:
-            raise ValueError("a Philox key is two uint64 words")
+        if n_words != 3 or np.dtype(dtype) != np.uint64:
+            raise ValueError("an SFC64 seed is three uint64 words")
         return self._key
 
 
@@ -154,7 +161,7 @@ class _PhiloxKey(ISeedSequence):
 class RngStream:
     """Named slot in a splittable family of random streams.
 
-    ``generator()`` returns a *fresh* counter-based generator keyed by
+    ``generator()`` returns a *fresh* SFC64 generator seeded from
     (seed, stream_id), so every operation that consumes this stream sees
     the same sequence.  Draw operations are therefore pure: calling
     ``draw_matrix`` twice with one stream yields the same matrix, and
@@ -163,7 +170,7 @@ class RngStream:
 
     seed: int
     stream_id: int = 0
-    # Philox key set by ``keyed``; it is a function of (seed, stream_id),
+    # SFC64 seed set by ``keyed``; it is a function of (seed, stream_id),
     # so equality and hash leave it out.
     _key: Optional[np.ndarray] = field(default=None, init=False,
                                        repr=False, compare=False)
@@ -178,9 +185,9 @@ class RngStream:
 
     @classmethod
     def keyed(cls, seed: int, stream_ids) -> list:
-        """The streams (seed, i) for i in ``stream_ids``, keys derived in one pass."""
+        """The streams (seed, i) for i in ``stream_ids``, seeds derived in one pass."""
         streams = [cls(seed, i) for i in stream_ids]
-        keys = _philox_keys(int(seed), [int(s.stream_id) for s in streams])
+        keys = _stream_keys(int(seed), [int(s.stream_id) for s in streams])
         for stream, key in zip(streams, keys):
             object.__setattr__(stream, "_key", key)
         return streams
@@ -189,8 +196,8 @@ class RngStream:
         if self._key is None:
             seq = np.random.SeedSequence(entropy=[int(self.seed), int(self.stream_id)])
         else:
-            seq = _PhiloxKey(self._key)
-        return np.random.Generator(np.random.Philox(seq))
+            seq = _StreamKey(self._key)
+        return np.random.Generator(np.random.SFC64(seq))
 
 
 # ---------------------------------------------------------------------------
@@ -223,10 +230,6 @@ class ScalarLaw:
     @property
     def variance(self) -> float:
         raise NotImplementedError
-
-    @property
-    def second_moment(self) -> float:
-        return self.variance + self.mean**2
 
     @property
     def fourth_moment(self) -> float:

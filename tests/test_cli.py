@@ -94,14 +94,57 @@ def test_run_missing_file_exits_4(tmp_path, capsys):
 
 
 def test_run_re_cone_overflow_exits_2(tmp_path, capsys):
-    # cone_delta passes the parse-time bound on theta'theta, but at this
-    # seed the sample's gram matrix pushes theta' Sigma theta past inf
+    # cone_delta passes the parse-time bound on theta'theta, but some
+    # sample's gram matrix pushes theta' Sigma theta past inf; five reps
+    # give several chances, and seeds 1-3 each overflow within them
     cfg = _write_config(
         tmp_path, "experiment = re\ncone_delta = 6e153\np = 3\nk = 2\n"
-        "n = 5\nreps = 1\nseed = 3\n"
+        "n = 5\nreps = 5\nseed = 3\n"
     )
     assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
     assert "cone quotient overflowed" in capsys.readouterr().err
+
+
+def _exits_2_before_tasks(tmp_path, capsys, text, fragment):
+    cfg = _write_config(tmp_path, text)
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert fragment in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_clt_zero_l_nq_exits_2(tmp_path, capsys):
+    # l_nq = 0 passes the option's minimum, but the bound needs l_nq > 0
+    _exits_2_before_tasks(
+        tmp_path, capsys, "experiment = clt\nl_nq = 0\nq = 5\nn = 20, 40\n"
+        "stat_reps = 20\nreps = 1\n", "must be positive")
+
+
+def test_run_clt_tiny_beta_exits_2(tmp_path, capsys):
+    # 2^(1/beta - 1) overflows a float at beta = 1e-6
+    _exits_2_before_tasks(
+        tmp_path, capsys, "experiment = clt\nbeta = 1e-6\nq = 5\nn = 20, 40\n"
+        "stat_reps = 20\nreps = 1\n", "bound overflows float64")
+
+
+def test_run_re_theory_xi_alpha_above_2_exits_2(tmp_path, capsys):
+    # the theory xi is defined for alpha in (0, 2] only
+    _exits_2_before_tasks(
+        tmp_path, capsys, "experiment = re\nxi_source = theory\nalpha = 7\n"
+        "n = 100\nreps = 1\n", "alpha must lie in (0, 2]")
+
+
+def test_run_lasso_zero_headline_writes_manifest(tmp_path, capsys):
+    # beta_scale = 0 fits beta = 0 exactly, so median_l2_error is 0 in
+    # every cell; log axes cannot show it, and the run still finishes
+    cfg = _write_config(
+        tmp_path, "experiment = lasso\nbeta_scale = 0\np = 10\nk = 2\n"
+        "n = 50, 100\nreps = 1\n")
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
+    with open(tmp_path / "out" / "summary.csv", newline="") as handle:
+        errors = [row["median_l2_error"] for row in csv.DictReader(handle)]
+    assert errors == ["0", "0"]
+    assert (tmp_path / "out" / "manifest.json").exists()
+    assert not (tmp_path / "out" / "median_l2_error_vs_n.svg").exists()
 
 
 def test_run_invariant_violation_exits_3(tmp_path, capsys):

@@ -214,6 +214,7 @@ def test_parse_config_reports_line_numbers():
     ("experiment = bootstrap\nnominal = 0\n", "nominal must lie in"),
     ("experiment = bootstrap\ndraws = 0\n", "'draws' must be at least 1"),
     ("experiment = clt\nrho_grid = 1\n", "rho_grid must be 0"),
+    ("experiment = clt\nk2_clt = 0\n", "k2_clt must be positive"),
     ("experiment = lasso\nsigma = 0\n", "needs sigma > 0"),
     ("experiment = tailcheck\nalpha = 0.01\n", "at least 0.05"),
     ("experiment = covariance\nalpha = 1, 0.01\n", "at least 0.05"),
@@ -322,6 +323,25 @@ def test_emit_plot_rejects_nonpositive_under_loglog(tmp_path):
     assert (tmp_path / "q.svg").exists()
 
 
+def test_plot_subtable_drops_what_log_axes_cannot_show():
+    config = _parse("experiment = lasso\nn = 50, 100, 200\n")
+    header = ("alpha", "k", "n", "median_l2_error")
+    positive = ex.CsvTable(header, ((1.0, 5, 50, 0.5), (1.0, 5, 100, 0.25),
+                                    (1.0, 5, 200, 0.125)))
+    # all positive: log axes keep every row, so the plot is unchanged
+    for loglog in (False, True):
+        sub = ex._plot_subtable(config, positive, "n", "median_l2_error", loglog)
+        assert sub.rows == positive.rows
+    zeros = ex.CsvTable(header, ((1.0, 5, 50, 0.0),) + positive.rows[1:])
+    sub = ex._plot_subtable(config, zeros, "n", "median_l2_error", True)
+    assert sub.rows == positive.rows[1:]
+    assert ex._plot_subtable(config, zeros, "n", "median_l2_error", False).rows \
+        == zeros.rows
+    # one positive point is no sweep, as a single n is not
+    one = ex.CsvTable(header, zeros.rows[:2] + ((1.0, 5, 200, 0.0),))
+    assert ex._plot_subtable(config, one, "n", "median_l2_error", True) is None
+
+
 def test_emit_plot_unknown_column(tmp_path):
     with pytest.raises(ValueError, match="no column"):
         ex.emit_plot(_two_point_table(), "n", "zap", loglog=False,
@@ -395,8 +415,14 @@ def test_run_reruns_byte_identical(tmp_path):
         (out_b / "summary.csv").read_bytes()
 
 
-def test_run_workers_do_not_change_bytes(tmp_path):
-    text = "experiment = covariance\nalpha = 1\np = 6\nn = 50, 100\nreps = 4\n"
+@pytest.mark.parametrize("text", [
+    "experiment = covariance\nalpha = 1\np = 6\nn = 50, 100\nreps = 4\n",
+    "experiment = tailcheck\nalpha = 0.5, 1\nn = 20, 40\nq = 3\nreps = 30\n",
+    "experiment = bootstrap\nq = 5\nn = 20, 40\ndraws = 50\nreps = 6\n",
+    "experiment = lasso\np = 10\nk = 2\nn = 50, 100\nreps = 3\n",
+    "experiment = norms\nalpha = 0.5, 2\nn = 100, 200\nreps = 3\n",
+], ids=lambda text: text.split("\n")[0].split(" = ")[1])
+def test_run_workers_do_not_change_bytes(tmp_path, text):
     _, out_a = _run(text, tmp_path, "a")
     _, out_b = _run(text + "workers = 3\n", tmp_path, "b")
     assert (out_a / "results.csv").read_bytes() == \

@@ -5,6 +5,7 @@ import pytest
 from scipy import stats as sps
 
 from subweibull import experiments as ex
+from subweibull import hdclt
 from subweibull.covariance import centered_cov
 from subweibull.hdclt import (
     data_max_sample,
@@ -328,6 +329,15 @@ def test_multiplier_scaling_homogeneity():
     assert q_scaled == pytest.approx(3.0 * q_base, rel=1e-12)
 
 
+def test_multiplier_blocks_keep_the_draws(monkeypatch):
+    # blocks bound the memory of z'R; the normals come in the same order
+    w = draw_matrix(IidCoordinates(SymmetricWeibull(1.0), 7), 30, RngStream(2, 0))
+    whole = multiplier_draws(w, 1000, RngStream(3, 1))
+    monkeypatch.setattr(hdclt, "_DRAW_BLOCK_VALUES", 3 * 7)
+    blocked = multiplier_draws(w, 1000, RngStream(3, 1))
+    np.testing.assert_allclose(blocked, whole, rtol=1e-12, atol=1e-12)
+
+
 def test_multiplier_validation():
     w = _matrix([[1.0, 2.0]])
     with pytest.raises(ValueError, match="at least 2 rows"):
@@ -344,6 +354,16 @@ def test_bootstrap_matches_gaussian_analog_conditionally():
     reps = 10**5
     boot = multiplier_draws(w, reps, RngStream(14, 1))
     analog = gaussian_analog_sample(centered_cov(w), reps, RngStream(14, 2))
+    assert rho_rectangle_proxy(boot, analog, grid=2 * reps) < 0.02
+
+
+def test_bootstrap_matches_gaussian_analog_above_rank():
+    # q > n: the R factor has k = n rows, the centered covariance rank
+    # n - 1, and the draws still follow the analog's law
+    w = draw_matrix(IidCoordinates(SymmetricWeibull(1.0), 20), 8, RngStream(15, 0))
+    reps = 10**5
+    boot = multiplier_draws(w, reps, RngStream(15, 1))
+    analog = gaussian_analog_sample(centered_cov(w), reps, RngStream(15, 2))
     assert rho_rectangle_proxy(boot, analog, grid=2 * reps) < 0.02
 
 

@@ -39,7 +39,7 @@ _KEY_EDGES = [0, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1]
 
 
 def test_keyed_streams_match_seed_sequence():
-    # the one-pass keys equal SeedSequence(entropy=[seed, id]) word for
+    # the one-pass seeds equal SeedSequence(entropy=[seed, id]) word for
     # word, and a keyed stream draws what the same stream draws without one
     rng = np.random.default_rng(2011)
     seeds = [int(s) for s in rng.integers(0, 2**63, 20, dtype=np.uint64)]
@@ -47,15 +47,31 @@ def test_keyed_streams_match_seed_sequence():
     for seed in seeds + _KEY_EDGES:
         ids = [int(i) for i in rng.integers(0, 2**64 - 1, 25, dtype=np.uint64,
                                             endpoint=True)] + _KEY_EDGES
-        keys = sp._philox_keys(seed, ids)
+        keys = sp._stream_keys(seed, ids)
         for sid, key, stream in zip(ids, keys, sp.RngStream.keyed(seed, ids)):
             expected = np.random.SeedSequence(entropy=[seed, sid])
-            assert np.array_equal(key, expected.generate_state(2, np.uint64)), (seed, sid)
+            assert np.array_equal(key, expected.generate_state(3, np.uint64)), (seed, sid)
             keyed_raw = stream.generator().bit_generator.random_raw(8)
             plain_raw = sp.RngStream(seed, sid).generator().bit_generator.random_raw(8)
             assert np.array_equal(keyed_raw, plain_raw), (seed, sid)
             checked += 1
     assert checked >= 500
+
+
+def test_stream_words_are_pinned():
+    # The first SFC64 words of a plain and of a keyed stream, as literals:
+    # a numpy release that changed SFC64 or SeedSequence would move every
+    # seeded figure of the repository, and this test names the cause.
+    plain = sp.RngStream(1, 0).generator().bit_generator.random_raw(4)
+    assert [int(w) for w in plain] == [
+        18365948275979584072, 6864396556639111295,
+        7917024265190753706, 14104257147265189493,
+    ]
+    (keyed,) = sp.RngStream.keyed(2**40 + 7, [3 * 2**32 + 5])
+    assert [int(w) for w in keyed.generator().bit_generator.random_raw(4)] == [
+        9126781501952997041, 12144864912058685100,
+        16826256548811456725, 14433929699548503798,
+    ]
 
 
 def test_keyed_stream_equals_plain_stream():
