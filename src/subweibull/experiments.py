@@ -519,13 +519,18 @@ def _covariance_task(config, point, rep, stream):
     return {"delta": max_elementwise_error(estimate, target)}
 
 
-def _covariance_summary(config, point, rows):
-    law = SymmetricWeibull(point["alpha"])
-    threshold, prob = delta_bound(
-        law.variance, law.psi_norm, point["n"], point["p"],
-        point["alpha"], config.options["t_ref"], config.constants,
-        centered=bool(config.options["centered"]),
+def _covariance_bound(config, alpha, p, n):
+    """``delta_bound`` at one cell for the SymmetricWeibull(alpha) rows."""
+    law = SymmetricWeibull(alpha)
+    return delta_bound(
+        law.variance, law.psi_norm, n, p, alpha, config.options["t_ref"],
+        config.constants, centered=bool(config.options["centered"]),
     )
+
+
+def _covariance_summary(config, point, rows):
+    threshold, prob = _covariance_bound(
+        config, point["alpha"], point["p"], point["n"])
     return {
         "reps": config.reps,
         "median_delta": _median(rows, "delta"),
@@ -540,6 +545,14 @@ def _covariance_validate(config):
         raise ConfigError("covariance: the deviation bound needs alpha <= 2")
     if config.options["centered"] and any(n < 2 for n in config.grids["n"]):
         raise ConfigError("covariance: the centered estimator needs n >= 2 rows")
+    for alpha, p, n in itertools.product(
+            config.grids["alpha"], config.grids["p"], config.grids["n"]):
+        try:
+            _covariance_bound(config, alpha, p, n)
+        except (ValueError, OverflowError) as exc:
+            raise ConfigError(
+                f"covariance: no bound at alpha={alpha:g}, p={p}, n={n}: {exc}"
+            ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -1190,6 +1203,11 @@ def emit_plot(table: CsvTable, x: str, y: str, *, loglog: bool,
         lo, hi = min(values), max(values)
         if lo == hi:
             lo, hi = lo - 0.5, hi + 0.5
+        if lo == hi:
+            # +-0.5 rounds away once |value| >= 2^53: one ulp each way,
+            # clipped to the finite range
+            lo = max(math.nextafter(lo, -math.inf), -sys.float_info.max)
+            hi = min(math.nextafter(hi, math.inf), sys.float_info.max)
         pad = 0.06 * (hi - lo)
         return lo, hi, lo - pad, hi + pad
 

@@ -26,9 +26,11 @@ standard normal weighted centered rows.  Conditional on the data the
 bootstrap statistic is the max of a Gaussian vector with the centered
 sample covariance, which is what ``gaussian_analog_sample`` draws from
 directly; the two paths agree in law and the tests hold them to that.
-The weighted sum e'C of the n x q centered rows C is drawn through the
-R factor of C = QR: Q'e is again standard normal, in k = min(n, q)
-dimensions, so a draw costs k multipliers and a k x q product, not n.
+The weighted sum e'C of the n x q centered rows C is drawn through a
+factor F with F'F = C'C: when n > q, the upper Cholesky factor of the
+q x q Gram C'C; when n <= q, or when the Gram is singular, C itself.
+z'F with z standard normal in the k = F.shape[0] dimensions has the
+same law as e'C, so a draw costs k multipliers and a k x q product.
 Bootstrap quantiles are ``np.quantile`` of the draws, whose default
 linear interpolation (the type-7 rule) is reproducible across
 implementations.  Bootstrap multipliers are standard normal only; no
@@ -57,7 +59,7 @@ __all__ = [
 # Eigenvalues of a valid covariance may round slightly negative; below
 # this the matrix is treated as genuinely indefinite.
 _EIGENVALUE_SLACK = -1e-10
-# multiplier_draws forms at most this many products z'R at once.
+# multiplier_draws forms at most this many products z'F at once.
 _DRAW_BLOCK_VALUES = 4_000_000
 
 
@@ -189,23 +191,31 @@ def hdclt_bound(l_nq, k_nq, n, q, beta, constants=None):
 def multiplier_draws(w: DataMatrix, draws: int, rng: RngStream) -> np.ndarray:
     """Draws of max_j (1/sqrt(n)) sum_i e_i (W_i - Wbar)(j), e_i iid N(0,1).
 
-    With C the centered rows and C = QR its thin QR factorisation (R is
-    k x q, k = min(n, q)), e'C = (Q'e)'R and Q'e is standard normal in
-    R^k, so each draw is max_j (z'R)_j / sqrt(n) with z ~ N(0, I_k): k
-    multipliers per draw instead of n, the same conditional law.
+    With C the centered rows, e'C is normal with covariance C'C, as is
+    z'F for any k x q factor F with F'F = C'C and z ~ N(0, I_k).  F is
+    the upper Cholesky factor of C'C (k = q) when n > q, and C itself
+    (k = n) when n <= q or when Cholesky finds C'C singular, as for
+    identical rows.  Each draw is max_j (z'F)_j / sqrt(n): k multipliers
+    per draw instead of n, the same conditional law.
     """
     if w.n < 2:
         raise ValueError("multiplier bootstrap needs at least 2 rows")
     if draws < 1:
         raise ValueError("draws must be at least 1")
     centered = w.values - w.values.mean(axis=0)
-    r = np.linalg.qr(centered, mode="r")
+    factor = centered
+    if w.n > w.p:
+        # unlike QR, the Gram product and Cholesky release the GIL
+        try:
+            factor = np.linalg.cholesky(centered.T @ centered).T
+        except np.linalg.LinAlgError:
+            pass
     gen = rng.generator()
     out = np.empty(int(draws))
     # Blocks of draws, so draws x q never materialises at once; the
     # normals are drawn in the same order whatever the block size.
     block = max(1, _DRAW_BLOCK_VALUES // w.p)
     for start in range(0, out.size, block):
-        z = gen.standard_normal((min(block, out.size - start), r.shape[0]))
-        out[start:start + z.shape[0]] = (z @ r).max(axis=1)
+        z = gen.standard_normal((min(block, out.size - start), factor.shape[0]))
+        out[start:start + z.shape[0]] = (z @ factor).max(axis=1)
     return out / math.sqrt(w.n)

@@ -278,17 +278,19 @@ class SymmetricWeibull(ScalarLaw):
             np.multiply(chunk_bits, 2.0**-53, out=chunk)
             np.subtract(1.0, chunk, out=chunk)
             np.log(chunk, out=chunk)
-            np.negative(chunk, out=chunk)
-            # pow(x, 1.0) is bit-exact x, so alpha = 1 skips the pass;
-            # sqrt and square equal pow(x, 0.5) and pow(x, 2.0) bit for bit
-            # at about half the cost
+            # square(-x) is bit-exact square(x) and pow(x, 1.0) is x, so
+            # 1/alpha = 2 skips the flip and alpha = 1 the power; sqrt and
+            # square equal pow(x, 0.5) and pow(x, 2.0) bit for bit at about
+            # half the cost
             exponent = 1.0 / self.alpha
-            if exponent == 0.5:
-                np.sqrt(chunk, out=chunk)
-            elif exponent == 2.0:
+            if exponent == 2.0:
                 np.square(chunk, out=chunk)
-            elif exponent != 1.0:
-                np.power(chunk, exponent, out=chunk)
+            else:
+                np.negative(chunk, out=chunk)
+                if exponent == 0.5:
+                    np.sqrt(chunk, out=chunk)
+                elif exponent != 1.0:
+                    np.power(chunk, exponent, out=chunk)
             np.left_shift(words, 63, out=words)
             np.bitwise_or(chunk_bits, words, out=chunk_bits)
         return out

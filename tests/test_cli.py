@@ -147,6 +147,26 @@ def test_run_lasso_zero_headline_writes_manifest(tmp_path, capsys):
     assert not (tmp_path / "out" / "median_l2_error_vs_n.svg").exists()
 
 
+@pytest.mark.parametrize("text", [
+    "experiment = covariance\nalpha = 0.05, 0.5\np = 3, 1\nreps = 2\nseed = 85\n",
+    "experiment = rip\nalpha = 0.05\np = 2, 6\nn = 50, 3\nreps = 2\nseed = 72\n",
+])
+def test_run_equal_huge_headlines_write_manifest(tmp_path, text):
+    # at alpha = 0.05 every cell's headline sits near 8.16e47, where the
+    # +-0.5 widening of an all-equal axis rounds away
+    cfg = _write_config(tmp_path, text)
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "manifest.json").exists()
+
+
+def test_run_covariance_bound_overflow_exits_2(tmp_path, capsys):
+    # u^(2/alpha) overflows a float at t_ref = 1e300, alpha = 0.05
+    _exits_2_before_tasks(
+        tmp_path, capsys, "experiment = covariance\nt_ref = 1e300\n"
+        "alpha = 0.05\np = 3, 1\nn = 50\nreps = 1\nseed = 86\n",
+        "no bound at alpha=0.05")
+
+
 def test_run_invariant_violation_exits_3(tmp_path, capsys):
     spec = ex.REGISTRY["norms"]
 

@@ -358,12 +358,23 @@ def test_bootstrap_matches_gaussian_analog_conditionally():
 
 
 def test_bootstrap_matches_gaussian_analog_above_rank():
-    # q > n: the R factor has k = n rows, the centered covariance rank
-    # n - 1, and the draws still follow the analog's law
+    # q > n: the factor is C itself with k = n rows, the centered
+    # covariance has rank n - 1, and the draws still follow the analog's law
     w = draw_matrix(IidCoordinates(SymmetricWeibull(1.0), 20), 8, RngStream(15, 0))
     reps = 10**5
     boot = multiplier_draws(w, reps, RngStream(15, 1))
     analog = gaussian_analog_sample(centered_cov(w), reps, RngStream(15, 2))
+    assert rho_rectangle_proxy(boot, analog, grid=2 * reps) < 0.02
+
+
+@pytest.mark.parametrize("q, seed", [(7, 16), (8, 17)])
+def test_bootstrap_matches_gaussian_analog_at_rank_edge(q, seed):
+    # n = 8 rows: at q = n - 1 the centered Gram is nonsingular and the
+    # factor is its Cholesky factor; at q = n the factor is C itself
+    w = draw_matrix(IidCoordinates(SymmetricWeibull(1.0), q), 8, RngStream(seed, 0))
+    reps = 10**5
+    boot = multiplier_draws(w, reps, RngStream(seed, 1))
+    analog = gaussian_analog_sample(centered_cov(w), reps, RngStream(seed, 2))
     assert rho_rectangle_proxy(boot, analog, grid=2 * reps) < 0.02
 
 

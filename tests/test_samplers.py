@@ -106,20 +106,46 @@ def test_scalar_law_validation():
 
 
 _CONTRACT_SIZES = [1, 2**15 - 1, 2**15, 2**15 + 1, (3, 4, 2**12 + 3)]
+# U = 0 with either sign, and the largest U, 1 - 2^-53, with sign -
+_EDGE_WORDS = np.array([0, 1, 2**64 - 1], dtype=np.uint64)
+
+
+class _FixedWords:
+    """Stands in for a Generator whose bit generator yields ``words``."""
+
+    def __init__(self, words):
+        self.bit_generator = self
+        self.words = words
+
+    def random_raw(self, size):
+        assert size == self.words.size
+        return self.words.copy()
+
+
+def _weibull_contract(words, alpha):
+    # one 64-bit word per value: the top 53 bits make U as Generator.random
+    # does, the magnitude is (-log(1 - U))^(1/alpha), bit 0 is the sign
+    u = (words >> np.uint64(11)).astype(float) * 2.0**-53
+    magnitude = np.power(-np.log(1.0 - u), 1.0 / alpha)
+    return np.where(words & np.uint64(1), -magnitude, magnitude)
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
 @pytest.mark.parametrize("size", _CONTRACT_SIZES)
 def test_weibull_stream_contract(alpha, size):
-    # one 64-bit word per value: the top 53 bits make U as Generator.random
-    # does, the magnitude is (-log(1 - U))^(1/alpha), bit 0 is the sign
     z = sp.SymmetricWeibull(alpha).sample(sp.RngStream(5, 9).generator(), size)
     words = sp.RngStream(5, 9).generator().bit_generator.random_raw(size)
-    u = (words >> np.uint64(11)).astype(float) * 2.0**-53
-    magnitude = np.power(-np.log(1.0 - u), 1.0 / alpha)
-    expected = np.where(words & np.uint64(1), -magnitude, magnitude)
+    expected = _weibull_contract(words, alpha)
     assert z.shape == np.shape(words)
     assert np.array_equal(z.view(np.uint64), expected.view(np.uint64))
+    # U = 0 gives a zero whose sign comes from -log(1) = -0 and survives
+    # sqrt and pow(x, 1.0) but not square; the largest U keeps the contract
+    edges = sp.SymmetricWeibull(alpha).sample(_FixedWords(_EDGE_WORDS), 3)
+    assert edges[:2].tolist() == [0.0, 0.0]
+    assert np.signbit(edges[:2]).tolist() == ([False, True] if alpha == 0.5
+                                              else [True, True])
+    assert np.array_equal(edges[2:].view(np.uint64),
+                          _weibull_contract(_EDGE_WORDS[2:], alpha).view(np.uint64))
     # the magnitudes are those of the former random() + integers() draw
     gen = sp.RngStream(5, 9).generator()
     former = -np.log(1.0 - gen.random(size))
