@@ -7,9 +7,11 @@ repetition), so a batch produces byte-identical tables for a given
 seed no matter how many workers execute it or in what order they
 finish.  The driver writes results.csv, summary.csv, one SVG of the
 headline per grid axis, and a manifest.json listing every artifact
-with its SHA-256 digest.  For an experiment whose claim is a rate in
-n, the driver also fits the summary's headline log-log over n (the
-slope and slope_se columns) and draws its plot over n log-log.
+with its SHA-256 digest.  The tables hold only what varies by row; the
+manifest carries the tables' schema tag and echoes the config, the
+five bound constants included.  For an experiment whose claim is a
+rate in n, the driver also fits the summary's headline log-log over n
+(the slope and slope_se columns) and draws its plot over n log-log.
 
 Config files are flat ``key = value`` lines; a '#' at the start of a
 line or after whitespace starts a comment, so values may contain '#'.
@@ -116,7 +118,7 @@ _INT_GRID_KEYS = frozenset({"n", "p", "k", "q"})
 _ALPHA_FLOOR = 0.05
 _COMMENT = re.compile(r"(?:^|\s)#")
 _CONSTANT_FIELDS = tuple(f.name for f in dataclasses.fields(BoundConstants))
-_SCHEMA_VERSION = 2
+_SCHEMA_VERSION = 3
 _SLACK = 1e-12
 
 
@@ -183,6 +185,9 @@ class ExperimentConfig:
 @dataclass(frozen=True)
 class RunManifest:
     experiment: str
+    # Layout tag of results.csv and summary.csv; the bound constants in
+    # force are in config_echo, not in the tables.
+    schema: str
     artifact_version: str
     started: str
     finished: str
@@ -397,6 +402,19 @@ def fit_loglog(xs, ys):
     return slope, math.sqrt(float(resid @ resid) / dof / sxx)
 
 
+def _check_cells(config, keys, bound, what: str) -> None:
+    """ConfigError at the first cell of the ``keys`` grid where ``bound``
+    raises ValueError or OverflowError, so the batch stops before a task."""
+    for cell in itertools.product(*(config.grids[key] for key in keys)):
+        try:
+            bound(*cell)
+        except (ValueError, OverflowError) as exc:
+            at = ", ".join(f"{key}={_echo_value(value)}"
+                           for key, value in zip(keys, cell))
+            raise ConfigError(
+                f"{config.experiment}: no {what} at {at}: {exc}") from None
+
+
 def _median(rows, key) -> float:
     return float(np.median([row[key] for row in rows]))
 
@@ -472,15 +490,19 @@ def _tailcheck_task(config, point, rep, stream):
     return {"max_average": float(np.max(np.abs(x.mean(axis=0))))}
 
 
+def _tailcheck_bound(config, alpha, n, q, t):
+    """``max_average_threshold`` at one (cell, t) for SymmetricWeibull(alpha)."""
+    law = SymmetricWeibull(alpha)
+    return max_average_threshold(
+        law.variance, law.psi_norm, n, q, alpha, t, config.constants)
+
+
 def _tailcheck_rows(config, point, rows):
-    law = SymmetricWeibull(point["alpha"])
     values = np.array([row["max_average"] for row in rows])
     out = []
     for t in config.grids["t"]:
-        threshold, prob = max_average_threshold(
-            law.variance, law.psi_norm, point["n"], point["q"],
-            point["alpha"], t, config.constants,
-        )
+        threshold, prob = _tailcheck_bound(
+            config, point["alpha"], point["n"], point["q"], t)
         freq = float(np.mean(values >= threshold))
         mc_se = math.sqrt(freq * (1.0 - freq) / config.reps)
         out.append({
@@ -503,6 +525,11 @@ def _tailcheck_summary(config, point, rows):
         "worst_excess": max(row["excess"] for row in rows),
         "all_ok": all(row["ok"] for row in rows),
     }
+
+
+def _tailcheck_validate(config):
+    _check_cells(config, ("alpha", "n", "q", "t"),
+                 functools.partial(_tailcheck_bound, config), "threshold")
 
 
 # ---------------------------------------------------------------------------
@@ -545,14 +572,8 @@ def _covariance_validate(config):
         raise ConfigError("covariance: the deviation bound needs alpha <= 2")
     if config.options["centered"] and any(n < 2 for n in config.grids["n"]):
         raise ConfigError("covariance: the centered estimator needs n >= 2 rows")
-    for alpha, p, n in itertools.product(
-            config.grids["alpha"], config.grids["p"], config.grids["n"]):
-        try:
-            _covariance_bound(config, alpha, p, n)
-        except (ValueError, OverflowError) as exc:
-            raise ConfigError(
-                f"covariance: no bound at alpha={alpha:g}, p={p}, n={n}: {exc}"
-            ) from None
+    _check_cells(config, ("alpha", "p", "n"),
+                 functools.partial(_covariance_bound, config), "bound")
 
 
 # ---------------------------------------------------------------------------
@@ -690,16 +711,11 @@ def _re_validate(config):
             if k > p:
                 raise ConfigError(f"re: k={k} exceeds p={p}")
     if config.options["xi_source"] == "theory":
-        for alpha, p, k, n in itertools.product(
-                *(config.grids[key] for key in ("alpha", "p", "k", "n"))):
-            law = IidCoordinates(SymmetricWeibull(alpha), p)
-            try:
-                _re_theory_xi(config, law, k, n)
-            except (ValueError, OverflowError) as exc:
-                raise ConfigError(
-                    f"re: no theory xi at alpha={alpha:g}, p={p}, k={k}, "
-                    f"n={n}: {exc}"
-                ) from None
+        _check_cells(
+            config, ("alpha", "p", "k", "n"),
+            lambda alpha, p, k, n: _re_theory_xi(
+                config, IidCoordinates(SymmetricWeibull(alpha), p), k, n),
+            "theory xi")
     # A cone direction has theta'theta <= 1 + k delta^2; half the largest
     # float leaves room for rounding in the sums of squares.
     delta, k = config.options["cone_delta"], max(config.grids["k"])
@@ -750,6 +766,13 @@ def _lasso_task(config, point, rep, stream):
     beta0[:k] = config.options["beta_scale"]
     noise = _lasso_noise(config)
     data = make_regression(design, beta0, noise, n, stream)
+    if not np.isfinite(data.y).all():
+        # X beta0 + eps depends on the draw, so the parser cannot see it
+        raise ConfigError(
+            f"lasso: response X beta0 + eps overflowed at beta_scale="
+            f"{config.options['beta_scale']:g} (alpha={alpha}, k={k}, "
+            f"n={n}, rep={rep})"
+        )
     empirical_lam = lambda_empirical(data.x, data.eps)
     if config.options["lambda_rule"] == "empirical":
         lam = empirical_lam
@@ -829,13 +852,10 @@ def _lasso_validate(config):
         raise ConfigError("lasso: theory_poly expects the pareto noise model")
     if rule != "empirical":
         law = _lasso_noise(config)
-        for alpha, n in itertools.product(config.grids["alpha"], config.grids["n"]):
-            try:
-                _lasso_theory_lambda(config, alpha, n, law)
-            except (ValueError, OverflowError) as exc:
-                raise ConfigError(
-                    f"lasso: no {rule} penalty at alpha={alpha:g}, n={n}: {exc}"
-                ) from None
+        _check_cells(
+            config, ("alpha", "n"),
+            lambda alpha, n: _lasso_theory_lambda(config, alpha, n, law),
+            f"{rule} penalty")
 
 
 # ---------------------------------------------------------------------------
@@ -989,6 +1009,7 @@ _register(Experiment(
     collect=_tailcheck_rows,
     summarize=_tailcheck_summary,
     headline="frequency",
+    validate=_tailcheck_validate,
 ))
 
 _register(Experiment(
@@ -1320,12 +1341,6 @@ def _execute(config: ExperimentConfig, spec: Experiment, points):
     return nested
 
 
-def _decorate(config: ExperimentConfig, rows):
-    schema = f"{config.experiment}.v{_SCHEMA_VERSION}"
-    constants = config.constants.as_mapping()
-    return [{"schema": schema, **row, **constants} for row in rows]
-
-
 def _echo_value(value) -> str:
     if isinstance(value, bool):
         return "1" if value else "0"
@@ -1410,8 +1425,8 @@ def run(config: ExperimentConfig) -> RunManifest:
         notes = (f"{stalled} of {len(points) * config.reps} fits did not "
                  "converge (column nonconverged of summary.csv)",)
 
-    results = _build_table(_decorate(config, result_rows))
-    summary = _build_table(_decorate(config, summary_rows))
+    results = _build_table(result_rows)
+    summary = _build_table(summary_rows)
 
     files = []
     results_path = out_dir / "results.csv"
@@ -1433,6 +1448,7 @@ def run(config: ExperimentConfig) -> RunManifest:
 
     manifest = RunManifest(
         experiment=config.experiment,
+        schema=f"{config.experiment}.v{_SCHEMA_VERSION}",
         artifact_version=__version__,
         started=started,
         finished=datetime.now(timezone.utc).isoformat(),

@@ -30,7 +30,6 @@ from .samplers import DataMatrix
 
 __all__ = [
     "LassoFit",
-    "soft_threshold",
     "solve",
     "lambda_empirical",
     "lambda_theory_subweibull",
@@ -47,15 +46,6 @@ class LassoFit:
     iterations: int
     converged: bool
     kkt_residual: float
-
-
-def soft_threshold(z, lam):
-    """sign(z) * max(|z| - lam, 0), elementwise."""
-    if np.any(np.asarray(lam) < 0.0):
-        raise ValueError("lam must be nonnegative")
-    shrunk = np.maximum(np.abs(z) - lam, 0.0)
-    out = np.sign(z) * shrunk
-    return float(out) if np.isscalar(z) else out
 
 
 def _kkt_residual(gradient, beta, lam):
@@ -109,7 +99,8 @@ def solve(x: DataMatrix, y, lam: float, tol: float = 1e-8,
                 continue
             old = coef[j]
             rho = float(gradient[j]) + scale * old
-            # soft_threshold(rho, lam) / scale, signed zeros included
+            # the soft threshold sign(rho) max(|rho| - lam, 0) / scale,
+            # signed zeros included
             if rho > lam:
                 new = (rho - lam) / scale
             elif rho < -lam:

@@ -206,7 +206,7 @@ class RngStream:
 
 @dataclass(frozen=True)
 class ScalarLaw:
-    """Base interface: sampling, quantiles, and analytic moment metadata.
+    """Base interface: sampling and analytic moment metadata.
 
     Moments that do not exist are reported as nan (undefined) or inf
     (divergent); ``psi_norm``/``tail_exponent`` are None when the law has
@@ -219,9 +219,6 @@ class ScalarLaw:
     def sample_sums(self, gen: np.random.Generator, n: int, size):
         """Sums of ``n`` iid copies, drawn directly, or None without a closed form."""
         return None
-
-    def ppf(self, u):
-        raise NotImplementedError
 
     @property
     def mean(self) -> float:
@@ -303,12 +300,6 @@ class SymmetricWeibull(ScalarLaw):
         gamma = Gamma(n)
         positive = gamma.sample(gen, size)
         return positive - gamma.sample(gen, size)
-
-    def ppf(self, u):
-        u = np.asarray(u, dtype=float)
-        core = np.abs(2.0 * u - 1.0)
-        magnitude = np.power(-np.log1p(-core), 1.0 / self.alpha)
-        return np.where(u >= 0.5, magnitude, -magnitude)
 
     def abs_moment(self, order: float) -> float:
         return math.gamma(1.0 + order / self.alpha)
@@ -394,9 +385,6 @@ class Exponential(ScalarLaw):
     def sample_sums(self, gen: np.random.Generator, n: int, size):
         return Gamma(n, self.rate).sample(gen, size)
 
-    def ppf(self, u):
-        return -np.log1p(-np.asarray(u, dtype=float)) / self.rate
-
     @property
     def mean(self) -> float:
         return 1.0 / self.rate
@@ -476,12 +464,6 @@ class Pareto(ScalarLaw):
         u = 1.0 - gen.random(size)
         sign = gen.integers(0, 2, size=size) * 2.0 - 1.0
         return sign * self.scale * np.power(u, -1.0 / self.shape)
-
-    def ppf(self, u):
-        u = np.asarray(u, dtype=float)
-        core = np.abs(2.0 * u - 1.0)
-        magnitude = self.scale * np.power(1.0 - core, -1.0 / self.shape)
-        return np.where(u >= 0.5, magnitude, -magnitude)
 
     def abs_moment(self, order: float) -> float:
         if order >= self.shape:

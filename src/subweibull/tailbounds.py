@@ -8,8 +8,8 @@ nothing is estimated.
 The theorem behind the formula proves the existence of an
 alpha-dependent constant without pinning its value; it enters through
 ``c_alpha_thm34`` of :class:`subweibull.orlicz.BoundConstants` (default
-1.0), which the runner echoes into every table so results are
-reproducible under any configuration.  The probability bound is
+1.0), which the runner echoes into every run's manifest so results
+are reproducible under any configuration.  The probability bound is
 clamped to [0, 1]; the threshold is reported unclamped.
 """
 

@@ -11,8 +11,24 @@ from __future__ import annotations
 import numpy as np
 
 from subweibull import orlicz as oz
+from subweibull import samplers as sp
 
 NORM_TOL = 1e-6
+
+
+def quantile(law, u):
+    """Closed-form quantile function of a SymmetricWeibull, Exponential
+    or Pareto law at the probabilities u."""
+    u = np.asarray(u, dtype=float)
+    if isinstance(law, sp.Exponential):
+        return -np.log1p(-u) / law.rate
+    # a symmetric law: the magnitude's quantile at |2u - 1|, signed as u - 1/2
+    core = np.abs(2.0 * u - 1.0)
+    if isinstance(law, sp.Pareto):
+        magnitude = law.scale * np.power(1.0 - core, -1.0 / law.shape)
+    else:
+        magnitude = np.power(-np.log1p(-core), 1.0 / law.alpha)
+    return np.where(u >= 0.5, magnitude, -magnitude)
 
 
 def distribution_corpus(seed: int = 20260816, count: int = 50) -> list[np.ndarray]:

@@ -167,6 +167,26 @@ def test_run_covariance_bound_overflow_exits_2(tmp_path, capsys):
         "no bound at alpha=0.05")
 
 
+def test_run_tailcheck_threshold_overflow_exits_2(tmp_path, capsys):
+    # u^(1/alpha*) overflows a float at t = 1e300, alpha = 0.5
+    _exits_2_before_tasks(
+        tmp_path, capsys, "experiment = tailcheck\nalpha = 0.5, 1\nn = 20\n"
+        "q = 2\nt = 1e300\nreps = 1\nseed = 77\n",
+        "no threshold at alpha=0.5, n=20, q=2, t=1e+300:")
+
+
+def test_run_lasso_response_overflow_exits_2(tmp_path, capsys):
+    # beta_scale passes the parser, but X beta0 + eps overflows to inf
+    cfg = _write_config(
+        tmp_path, "experiment = lasso\np = 6\nk = 2\nn = 50\nreps = 1\n"
+        "seed = 1\nbeta_scale = 1e308\n")
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "response X beta0 + eps overflowed" in err
+    assert "(alpha=1.0, k=2, n=50, rep=0)" in err
+    assert "Traceback" not in err
+
+
 def test_run_invariant_violation_exits_3(tmp_path, capsys):
     spec = ex.REGISTRY["norms"]
 

@@ -373,7 +373,6 @@ def test_run_norms_artifacts(tmp_path):
     manifest, out = _run(NORMS_SMALL, tmp_path)
     rows = _read_rows(out / "results.csv")
     assert len(rows) == 2 * 3
-    assert rows[0]["schema"] == "norms.v2"
     assert [row["rep"] for row in rows] == ["0", "1", "2"] * 2
     # task stream blocks: cell stride 1000003, eight substreams per task
     assert [int(row["stream"]) for row in rows[:4]] == [0, 8, 16, 8000024]
@@ -382,7 +381,8 @@ def test_run_norms_artifacts(tmp_path):
     summary = _read_rows(out / "summary.csv")
     assert len(summary) == 2
     assert {row["n"] for row in summary} == {"100", "200"}
-    assert (out / "manifest.json").exists()
+    recorded = json.loads((out / "manifest.json").read_text())
+    assert recorded["schema"] == "norms.v3"
 
 
 def test_run_rows_echo_constants(tmp_path):
@@ -390,10 +390,9 @@ def test_run_rows_echo_constants(tmp_path):
         "experiment = norms\nalpha = 1\nn = 100\nreps = 2\nk2_clt = 0.25\n",
         tmp_path,
     )
-    for path in (out / "results.csv", out / "summary.csv"):
-        for row in _read_rows(path):
-            assert row["k2_clt"] == "0.25"
-            assert row["c_gamma_lasso"] == "1"
+    recorded = json.loads((out / "manifest.json").read_text())
+    assert recorded["config_echo"]["k2_clt"] == "0.25"
+    assert recorded["config_echo"]["c_gamma_lasso"] == "1.0"
 
 
 def test_run_single_n_gives_nan_slope(tmp_path):
@@ -685,6 +684,12 @@ def test_run_plots_the_headline_over_every_axis(tmp_path):
         header = _read_rows(out / "summary.csv")[0].keys()
         assert ("slope" in header) == spec.rate, name
         assert ("slope_se" in header) == spec.rate, name
+        # the tables carry only what varies; the manifest carries the rest
+        repeated = {"schema", *subweibull.BoundConstants().as_mapping()}
+        for table in ("results.csv", "summary.csv"):
+            assert not repeated & set(_read_rows(out / table)[0]), (name, table)
+        recorded = json.loads((out / "manifest.json").read_text())
+        assert recorded["schema"] == f"{name}.v3"
 
 
 def test_run_tailcheck_summary_reduces_its_results(tmp_path):

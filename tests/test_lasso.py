@@ -30,18 +30,6 @@ def _objective(x, y, lam, beta):
             + lam * float(np.sum(np.abs(beta))))
 
 
-def test_soft_threshold_examples():
-    assert ls.soft_threshold(2.0, 0.5) == 1.5
-    assert ls.soft_threshold(-0.3, 0.5) == 0.0
-    assert ls.soft_threshold(-1.2, 0.0) == -1.2
-    assert np.array_equal(
-        ls.soft_threshold(np.array([2.0, -2.0, 0.1]), 0.5),
-        np.array([1.5, -1.5, 0.0]),
-    )
-    with pytest.raises(ValueError):
-        ls.soft_threshold(1.0, -0.1)
-
-
 def test_problem_validation():
     law = sp.IidCoordinates(sp.Gaussian(1.0), 2)
     x = sp.DataMatrix(3, 2, np.ones((3, 2)), law)
@@ -68,7 +56,8 @@ def test_single_standardized_predictor():
     y = 2.0 * x + gen.standard_normal(60)
     law = sp.IidCoordinates(sp.Gaussian(1.0), 1)
     fit = ls.solve(sp.DataMatrix(60, 1, x[:, None], law), y, 0.3)
-    closed = ls.soft_threshold(float(x @ y / 60.0), 0.3)
+    z = float(x @ y / 60.0)
+    closed = math.copysign(max(abs(z) - 0.3, 0.0), z)
     assert fit.beta[0] == pytest.approx(closed, abs=1e-10)
 
 
@@ -160,12 +149,12 @@ def test_solve_layout_independent():
     fit = ls.solve(_layout_pair(zero_column, y)[0], y, 0.1)
     assert fit.beta[5] == 0.0 and not np.signbit(fit.beta[5])
     fit = ls.solve(_layout_pair(cases[2][0], cases[2][1])[1], cases[2][1], 0.25)
-    # soft_threshold(0, lam) is +0.0; the first two coefficients are
-    # the closed-form single-column fits
-    assert fit.beta[2] == 0.0
-    assert np.signbit(fit.beta[2]) == np.signbit(ls.soft_threshold(0.0, 0.25))
-    assert fit.beta[0] == ls.soft_threshold(1.0, 0.25) / 0.5
-    assert fit.beta[1] == ls.soft_threshold(0.5, 0.25) / 0.5
+    # the soft threshold of 0 is +0.0; the first two coefficients are
+    # the closed-form single-column fits (1 - 0.25) / 0.5 and
+    # (0.5 - 0.25) / 0.5
+    assert fit.beta[2] == 0.0 and not np.signbit(fit.beta[2])
+    assert fit.beta[0] == 1.5
+    assert fit.beta[1] == 0.5
 
 
 def test_max_iter_exceeded():
