@@ -905,15 +905,7 @@ def _clt_summary(config, point, rows):
 def _clt_validate(config):
     if config.options["rho_grid"] == 1:
         raise ConfigError("clt: rho_grid must be 0 (exact pooled grid) or at least 2")
-    for q, n in itertools.product(config.grids["q"], config.grids["n"]):
-        try:
-            _clt_bound(config, q, n)
-        except ValueError as exc:
-            raise ConfigError(f"clt: no bound at q={q}, n={n}: {exc}") from None
-        except OverflowError:
-            raise ConfigError(
-                f"clt: the bound overflows float64 at q={q}, n={n}"
-            ) from None
+    _check_cells(config, ("q", "n"), functools.partial(_clt_bound, config), "bound")
 
 
 # ---------------------------------------------------------------------------
@@ -1398,12 +1390,13 @@ def run(config: ExperimentConfig) -> RunManifest:
     started = datetime.now(timezone.utc).isoformat()
     out_dir = Path(config.output_dir
                    or f"runs/{config.experiment}-seed{config.seed}")
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     points = _grid_points(config, spec)
     if len(points) * _GRID_STRIDE * _BLOCK >= 2**63:
         raise ConfigError("grid too large for the stream id layout")
     nested = _execute(config, spec, points)
+    # only now, so a task that stops the run leaves no empty directory
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     result_rows = []
     summary_rows = []

@@ -71,29 +71,19 @@ def max_statistic(rows: np.ndarray, center) -> float:
 def data_max_sample(law: VectorLaw, n: int, reps: int, rng: RngStream) -> np.ndarray:
     """Replications of the max statistic of mean-centered rows from ``law``.
 
-    Rows are centered at the law's population means, so the sample
-    targets the mean zero statistic even for uncentered laws.  The
-    statistic depends on the rows only through their column sums S, so
-    when ``law.sample_sums`` has a closed form (Exponential, Gaussian and
-    SymmetricWeibull(1) coordinates) one ``(reps, q)`` block of sums is
-    drawn from the stream's one generator and every replication is
-    max_j (S_j - n mu_j) / sqrt(n) at once, equal in law to the row path.
-    Every other law draws n rows per replication, consuming the one
-    generator in replication order.
+    The statistic depends on the rows only through their column sums S,
+    which ``law.column_sums`` draws as one ``(reps, q)`` block from the
+    stream's one generator, in closed form or from rows as the law
+    decides.  Each replication is max_j (S_j - n mu_j) / sqrt(n), centered
+    at the population means mu, so uncentered laws target the mean zero
+    statistic too.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     if reps < 1:
         raise ValueError("reps must be at least 1")
-    means = law.coordinate_means
-    gen = rng.generator()
-    sums = law.sample_sums(gen, int(n), int(reps))
-    if sums is not None:
-        return (sums - n * means).max(axis=1) / math.sqrt(n)
-    values = np.empty(int(reps))
-    for r in range(int(reps)):
-        values[r] = max_statistic(law.draw_rows(gen, int(n)), means)
-    return values
+    sums = law.column_sums(rng.generator(), int(n), int(reps))
+    return (sums - n * law.coordinate_means).max(axis=1) / math.sqrt(n)
 
 
 def gaussian_analog_sample(sigma, reps: int, rng: RngStream) -> np.ndarray:

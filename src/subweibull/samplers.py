@@ -27,10 +27,11 @@ its ``sample``; the closed forms, each exact in law:
   first.
 
 Every other law, ``SymmetricWeibull`` at alpha != 1 and ``Pareto``
-included, returns None and callers draw the rows.  ``IidCoordinates``
-hands out a ``(reps, p)`` block of column sums, taken from the caller's
-one generator.  The sums consume a stream differently from the rows, so
-the two paths agree in law, not bit for bit.
+included, has none (``sample_sums`` is None).  ``VectorLaw.column_sums``
+alone makes that choice and returns a ``(reps, dim)`` block either way;
+without a closed form it adds up one replication's n rows at a time,
+unchunked, so memory is O(n * dim) and the sums keep the bytes of the
+rows' ``sum(axis=0)``.  The two paths agree in law, not bit for bit.
 
 Randomness is splittable: an ``RngStream`` is a (seed, stream_id) pair
 and every draw operation builds a fresh generator from it, so the same
@@ -494,9 +495,12 @@ class VectorLaw:
     def draw_rows(self, gen: np.random.Generator, n: int) -> np.ndarray:
         raise NotImplementedError
 
-    def sample_sums(self, gen: np.random.Generator, n: int, reps: int):
-        """(reps, dim) column sums of n rows each, or None without a closed form."""
-        return None
+    def column_sums(self, gen: np.random.Generator, n: int, reps: int) -> np.ndarray:
+        """(reps, dim) column sums of n rows each, drawn replication by replication."""
+        sums = np.empty((reps, self.dim))
+        for r in range(reps):
+            sums[r] = self.draw_rows(gen, n).sum(axis=0)
+        return sums
 
     @property
     def dim(self) -> int:
@@ -535,8 +539,9 @@ class IidCoordinates(VectorLaw):
     def draw_rows(self, gen: np.random.Generator, n: int) -> np.ndarray:
         return np.asarray(self.marginal.sample(gen, (n, self.p)), dtype=float)
 
-    def sample_sums(self, gen: np.random.Generator, n: int, reps: int):
-        return self.marginal.sample_sums(gen, n, (reps, self.p))
+    def column_sums(self, gen: np.random.Generator, n: int, reps: int) -> np.ndarray:
+        sums = self.marginal.sample_sums(gen, n, (reps, self.p))
+        return super().column_sums(gen, n, reps) if sums is None else sums
 
     @property
     def dim(self) -> int:
@@ -617,4 +622,7 @@ def make_regression(design, beta0, noise, n, rng):
     gen = rng.generator()
     x = DataMatrix(int(n), design.dim, design.draw_rows(gen, int(n)), design)
     eps = np.asarray(noise.sample(gen, int(n)), dtype=float)
-    return RegressionData(x, x.values @ beta0 + eps, eps)
+    # a huge beta0 can overflow y to inf; the caller checks y is finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = x.values @ beta0 + eps
+    return RegressionData(x, y, eps)

@@ -11,9 +11,13 @@ experiments through ``ex.parse_config`` and ``ex.run`` (the path of
 results.csv and summary.csv; a certificate that fails inside the run
 raises ``InvariantViolation``.  The other gates stay inline:
 
-- tail domination: the gate draws the closed-form column sums at
-  alpha = 1, while ``tailcheck`` draws n*q rows per task (the benchmark
-  counts them), which would put the gate back near its time budget;
+- tail domination: the gate takes each cell's 20,000 column sums from
+  ``IidCoordinates.column_sums``, in closed form at alpha = 1, while
+  ``tailcheck`` draws n*q rows per task at every alpha (the benchmark
+  counts them).  Through ``tailcheck`` the gate took 59.3 s at one
+  worker and 58.7 s at two, against 44.9 s inline (2 vCPUs), and 631 MB
+  peak RSS against 101 MB, since the runner submits all 240,000 tasks
+  at once;
 - the net certificate (random (p, n, k) instances), solver vs oracle,
   the norm oracle and the norm suites are not grid sweeps;
 - rerun determinism already runs every experiment through ``ex.run``.
@@ -77,19 +81,6 @@ def test_norm_inequality_suites():
     assert elapsed < 60.0
 
 
-def _row_max_averages(law, gen, n, q, reps):
-    """max_j |mean of column j| of reps (n, q) row blocks, drawn in chunks."""
-    chunk = max(1, 4_000_000 // (n * q))
-    maxima = np.empty(reps)
-    done = 0
-    while done < reps:
-        m = min(chunk, reps - done)
-        x = law.sample(gen, (m, n, q))
-        maxima[done:done + m] = np.max(np.abs(x.mean(axis=1)), axis=1)
-        done += m
-    return maxima
-
-
 def test_max_average_tail_domination():
     t0 = time.perf_counter()
     reps = 20_000
@@ -101,13 +92,8 @@ def test_max_average_tail_domination():
         for ni, n in enumerate((100, 1000)):
             for qi, q in enumerate((10, 100)):
                 gen = sp.RngStream(SEED, 1000 * ai + 100 * ni + 10 * qi).generator()
-                # alpha = 1 has closed-form column sums; the other laws
-                # draw their rows
-                sums = law.sample_sums(gen, n, (reps, q))
-                if sums is not None:
-                    maxima = np.max(np.abs(sums), axis=1) / n
-                else:
-                    maxima = _row_max_averages(law, gen, n, q, reps)
+                sums = sp.IidCoordinates(law, q).column_sums(gen, n, reps)
+                maxima = np.max(np.abs(sums), axis=1) / n
                 for t in (1.0, 2.0, 4.0):
                     threshold, prob = tb.max_average_threshold(
                         law.variance, law.psi_norm, n, q, alpha, t, constants)

@@ -11,6 +11,7 @@ import resource
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import pytest
@@ -103,6 +104,7 @@ def test_run_re_cone_overflow_exits_2(tmp_path, capsys):
     )
     assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
     assert "cone quotient overflowed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def _exits_2_before_tasks(tmp_path, capsys, text, fragment):
@@ -123,7 +125,7 @@ def test_run_clt_tiny_beta_exits_2(tmp_path, capsys):
     # 2^(1/beta - 1) overflows a float at beta = 1e-6
     _exits_2_before_tasks(
         tmp_path, capsys, "experiment = clt\nbeta = 1e-6\nq = 5\nn = 20, 40\n"
-        "stat_reps = 20\nreps = 1\n", "bound overflows float64")
+        "stat_reps = 20\nreps = 1\n", "no bound at q=5, n=20")
 
 
 def test_run_re_theory_xi_alpha_above_2_exits_2(tmp_path, capsys):
@@ -180,11 +182,14 @@ def test_run_lasso_response_overflow_exits_2(tmp_path, capsys):
     cfg = _write_config(
         tmp_path, "experiment = lasso\np = 6\nk = 2\nn = 50\nreps = 1\n"
         "seed = 1\nbeta_scale = 1e308\n")
-    assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "response X beta0 + eps overflowed" in err
     assert "(alpha=1.0, k=2, n=50, rep=0)" in err
     assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_invariant_violation_exits_3(tmp_path, capsys):

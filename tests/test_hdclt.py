@@ -19,6 +19,7 @@ from subweibull.orlicz import BoundConstants
 from subweibull.samplers import (
     DataMatrix,
     Exponential,
+    Gamma,
     Gaussian,
     IidCoordinates,
     Pareto,
@@ -96,7 +97,9 @@ def _row_max_average(alpha, n, q, rng):
 
 
 _CLOSED_LAWS = (Exponential(2.0), Gaussian(1.5), SymmetricWeibull(1.0))
-_ROW_ONLY_LAWS = (SymmetricWeibull(0.5), SymmetricWeibull(2.0), Pareto(4.5))
+# Gamma(2) has a nonzero mean and no closed-form sums
+_ROW_ONLY_LAWS = (SymmetricWeibull(0.5), SymmetricWeibull(2.0), Pareto(4.5),
+                  Gamma(2.0))
 
 
 @pytest.mark.parametrize("marginal", _CLOSED_LAWS, ids=repr)
@@ -115,8 +118,8 @@ def test_tailcheck_sums_path_equal_in_law():
     point = {"alpha": 1.0, "n": 100, "q": 10}
     reps = 4000
     gen = RngStream(32, 0).generator()
-    sums = np.max(np.abs(SymmetricWeibull(1.0).sample_sums(gen, 100, (reps, 10))),
-                  axis=1) / 100
+    law = IidCoordinates(SymmetricWeibull(1.0), 10)
+    sums = np.max(np.abs(law.column_sums(gen, 100, reps)), axis=1) / 100
     rows = [ex._tailcheck_task(None, point, rep, RngStream(33, 8 * rep))["max_average"]
             for rep in range(reps)]
     assert sps.ks_2samp(sums, rows).pvalue > 0.001
@@ -150,18 +153,23 @@ def test_sample_sums_moments(marginal):
     # being at most 6 (Exponential) among these laws
     assert abs(sums.mean() - mean) <= 5.0 * math.sqrt(var / size)
     assert abs(sums.var() / var - 1.0) <= 5.0 * math.sqrt((2.0 + 6.0 / n) / size)
-    block = IidCoordinates(marginal, 3).sample_sums(RngStream(34, 1).generator(), n, 7)
+    block = IidCoordinates(marginal, 3).column_sums(RngStream(34, 1).generator(), n, 7)
     assert block.shape == (7, 3)
 
 
 @pytest.mark.parametrize("marginal", _ROW_ONLY_LAWS, ids=repr)
 def test_laws_without_closed_sums_keep_the_row_path(marginal):
-    gen = RngStream(35, 0).generator()
-    assert marginal.sample_sums(gen, 10, 3) is None
+    assert marginal.sample_sums(RngStream(35, 0).generator(), 10, 3) is None
     law = IidCoordinates(marginal, 6)
-    assert law.sample_sums(gen, 10, 3) is None
+    sums = law.column_sums(RngStream(35, 0).generator(), 10, 3)
+    gen = RngStream(35, 0).generator()
+    assert sums.shape == (3, 6)
+    assert np.array_equal(sums, [law.draw_rows(gen, 10).sum(axis=0) for _ in range(3)])
     sample = data_max_sample(law, 40, 50, RngStream(35, 1))
-    assert np.array_equal(sample, _row_loop(law, 40, 50, RngStream(35, 1)))
+    # the sums are centered, not the rows, which only a nonzero mean sees
+    atol = 0.0 if marginal.mean == 0.0 else 1e-12
+    np.testing.assert_allclose(sample, _row_loop(law, 40, 50, RngStream(35, 1)),
+                               rtol=0.0, atol=atol)
 
 
 @pytest.mark.parametrize("alpha", (0.5, 1.0))
