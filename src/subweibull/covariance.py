@@ -146,20 +146,25 @@ class RsConvexityParams:
 # moment matrices and elementwise error
 
 
+# Each kernel works over the last two axes, so the same call serves one
+# matrix and a stack of them; numpy's matmul runs its per-matrix loop over
+# the stack, so each slice comes out bit for bit as it would alone.
+
+
 def gram(x: DataMatrix) -> np.ndarray:
     """Uncentered second moment (1/n) sum x_i x_i', exactly symmetrized."""
     values = x.values
-    out = values.T @ values / x.n
-    return (out + out.T) / 2.0
+    out = np.swapaxes(values, -1, -2) @ values / x.n
+    return (out + np.swapaxes(out, -1, -2)) / 2.0
 
 
 def centered_cov(x: DataMatrix) -> np.ndarray:
     """Covariance (1/n) sum (x_i - xbar)(x_i - xbar)' with divisor n."""
     if x.n < 2:
         raise ValueError("centered covariance needs at least 2 rows")
-    centered = x.values - x.values.mean(axis=0)
-    out = centered.T @ centered / x.n
-    return (out + out.T) / 2.0
+    centered = x.values - x.values.mean(axis=-2, keepdims=True)
+    out = np.swapaxes(centered, -1, -2) @ centered / x.n
+    return (out + np.swapaxes(out, -1, -2)) / 2.0
 
 
 @functools.lru_cache(maxsize=64)
@@ -170,15 +175,22 @@ def _upper_triangle(p: int) -> np.ndarray:
     return flat
 
 
-def max_elementwise_error(a: np.ndarray, b: np.ndarray) -> float:
-    """max_{j <= k} |a_jk - b_jk| over the upper triangle with diagonal."""
+def max_elementwise_error(a: np.ndarray, b: np.ndarray):
+    """max_{j <= k} |a_jk - b_jk| over the upper triangle with diagonal.
+
+    A float for two matrices; for a stack ``a`` (``b`` a matrix or a stack
+    of the same shape) the array of each slice's value.
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError("inputs must be square")
-    if a.shape != b.shape:
+    if b.shape != a.shape and b.shape != a.shape[-2:]:
         raise ValueError("inputs must have equal shapes")
-    return float(np.abs(a - b).take(_upper_triangle(a.shape[0])).max())
+    p = a.shape[-1]
+    diff = np.abs(a - b).reshape(a.shape[:-2] + (p * p,))
+    out = diff.take(_upper_triangle(p), axis=-1).max(axis=-1)
+    return float(out) if a.ndim == 2 else out
 
 
 def delta_bound(a_np, k_np, n, p, alpha, t, constants=None, centered=False):

@@ -1,13 +1,16 @@
 """Config-driven experiment batches with reproducible artifacts.
 
-Each experiment is a registry entry pairing a per-task kernel with a
-per-cell summariser and naming one headline column.  A task owns a
-block of eight deterministic substreams keyed by (grid cell,
-repetition), so a batch produces byte-identical tables for a given
-seed no matter how many workers execute it or in what order they
-finish.  The driver writes results.csv, summary.csv, one SVG of the
-headline per grid axis, and a manifest.json listing every artifact
-with its SHA-256 digest.  The tables hold only what varies by row; the
+Each experiment is a registry entry pairing a task kernel with a
+per-cell summariser and naming one headline column.  Each (grid cell,
+repetition) owns a block of eight deterministic substreams, so a batch
+produces byte-identical tables for a given seed no matter how many
+workers execute it or in what order they finish.  One task call covers
+a run of consecutive repetitions of one cell, a single one unless the
+experiment sets a longer run; ``covariance`` draws and reduces a whole
+run as one stack.  With several workers each takes the next run when it
+is free.  The driver writes results.csv, summary.csv, one SVG of the
+headline per grid axis, and a manifest.json listing every artifact with
+its SHA-256 digest.  The tables hold only what varies by row; the
 manifest carries the tables' schema tag and echoes the config, the
 five bound constants included.  For an experiment whose claim is a
 rate in n, the driver also fits the summary's headline log-log over n
@@ -31,7 +34,8 @@ import json
 import math
 import re
 import sys
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -71,6 +75,7 @@ from .lasso import (
 )
 from .orlicz import BoundConstants, OrliczSpec, empirical_norm
 from .samplers import (
+    _CHUNK,
     Exponential,
     Gaussian,
     IidCoordinates,
@@ -78,6 +83,7 @@ from .samplers import (
     RngStream,
     SymmetricWeibull,
     draw_matrix,
+    draw_stack,
     make_regression,
 )
 from .tailbounds import max_average_threshold
@@ -122,6 +128,16 @@ _SCHEMA_VERSION = 3
 _SLACK = 1e-12
 
 
+def _each_rep(task: Callable) -> Callable:
+    """The run task that calls ``task(config, point, rep, stream)`` per rep."""
+
+    def each(config, point, reps, streams):
+        return [task(config, point, rep, stream)
+                for rep, stream in zip(reps, streams)]
+
+    return each
+
+
 def _substream(stream: RngStream, j: int) -> RngStream:
     if not 0 <= j < _BLOCK:
         raise ValueError("substream index out of the task's block")
@@ -147,6 +163,12 @@ class OptionSpec:
 class Experiment:
     """A registered batch.
 
+    ``task(config, point, reps, streams)`` computes a run of consecutive
+    reps of one cell: ``reps`` is a range of rep indices and ``streams``
+    their task streams, and it returns one row per rep, in order.  A run
+    holds ``reps_per_task(config, point)`` reps (one when it is None), the
+    cell's last run the rest.  ``_each_rep`` makes such a task from one
+    that computes a single rep's row.
     ``summarize(config, point, rows)`` returns one cell's summary columns;
     ``rows`` are the cell's task rows, or what ``collect`` made of them.
     ``headline`` is the column plotted over every grid axis, taken from
@@ -166,6 +188,7 @@ class Experiment:
     collect: Optional[Callable] = None
     extra_grid_keys: tuple = ()
     validate: Optional[Callable] = None
+    reps_per_task: Optional[Callable] = None
 
 
 @dataclass(frozen=True)
@@ -536,14 +559,23 @@ def _tailcheck_validate(config):
 # kernels: covariance max-norm error
 
 
-def _covariance_task(config, point, rep, stream):
+def _covariance_reps_per_task(config, point):
+    """As many reps as one sampler chunk holds, so a run's draw is one
+    chunk of the Weibull transform; at least one."""
+    return max(1, _CHUNK // (point["n"] * point["p"]))
+
+
+def _covariance_task(config, point, reps, streams):
+    # the whole run as one (len(reps), n, p) stack: one draw, one gram and
+    # one error kernel call, each slice bit for bit the rep's own
     law, target = _weibull_cell(point["alpha"], point["p"])
-    x = draw_matrix(law, point["n"], stream)
+    x = draw_stack(law, point["n"], streams)
     if config.options["centered"]:
         estimate = centered_cov(x)
     else:
         estimate = gram(x)
-    return {"delta": max_elementwise_error(estimate, target)}
+    deltas = max_elementwise_error(estimate, target).tolist()
+    return [{"delta": delta} for delta in deltas]
 
 
 def _covariance_bound(config, alpha, p, n):
@@ -983,7 +1015,7 @@ _register(Experiment(
     grid_defaults={"alpha": (0.5, 1.0, 2.0), "n": (400, 1600, 6400),
                    "__reps__": 30},
     options=(),
-    task=_norms_task,
+    task=_each_rep(_norms_task),
     summarize=_norms_summary,
     headline="median_abs_rel_error",
     rate=True,
@@ -997,7 +1029,7 @@ _register(Experiment(
                    "t": (1.0, 2.0, 4.0), "__reps__": 2000},
     extra_grid_keys=("t",),
     options=(),
-    task=_tailcheck_task,
+    task=_each_rep(_tailcheck_task),
     collect=_tailcheck_rows,
     summarize=_tailcheck_summary,
     headline="frequency",
@@ -1015,6 +1047,7 @@ _register(Experiment(
         _flt("t_ref", 2.0, minimum=0.0),
     ),
     task=_covariance_task,
+    reps_per_task=_covariance_reps_per_task,
     summarize=_covariance_summary,
     validate=_covariance_validate,
     headline="median_delta",
@@ -1028,7 +1061,7 @@ _register(Experiment(
     grid_defaults={"alpha": (1.0,), "p": (30,), "k": (2,),
                    "n": (500, 1000, 2000, 4000), "__reps__": 25},
     options=(),
-    task=_rip_task,
+    task=_each_rep(_rip_task),
     summarize=_rip_summary,
     validate=_rip_validate,
     headline="median_exact",
@@ -1047,7 +1080,7 @@ _register(Experiment(
         _flt("cone_delta", 3.0, minimum=1.0),
         _integer("cone_trials", 400),
     ),
-    task=_re_task,
+    task=_each_rep(_re_task),
     summarize=_re_summary,
     validate=_re_validate,
     headline="satisfied_count",
@@ -1072,7 +1105,7 @@ _register(Experiment(
         _flt("beta_scale", 1.0),
         _flt("xi_divisor", 2000.0, minimum=1.0),
     ),
-    task=_lasso_task,
+    task=_each_rep(_lasso_task),
     summarize=_lasso_summary,
     validate=_lasso_validate,
     headline="median_l2_error",
@@ -1091,7 +1124,7 @@ _register(Experiment(
         _flt("k_nq", 0.0, minimum=0.0),  # 0 derives the marginal norm
         _flt("beta", 0.0, minimum=0.0),  # 0 derives the marginal tail order
     ),
-    task=_clt_task,
+    task=_each_rep(_clt_task),
     summarize=_clt_summary,
     validate=_clt_validate,
     headline="median_rho",
@@ -1109,7 +1142,7 @@ _register(Experiment(
         _flt("nominal", 0.9, minimum=0.0),
         _integer("draws", 300),
     ),
-    task=_bootstrap_task,
+    task=_each_rep(_bootstrap_task),
     summarize=_bootstrap_summary,
     validate=_bootstrap_validate,
     headline="coverage",
@@ -1307,29 +1340,60 @@ def _grid_points(config: ExperimentConfig, spec: Experiment):
 
 
 def _execute(config: ExperimentConfig, spec: Experiment, points):
-    """Run every (cell, rep) task; nested results indexed by position."""
+    """Run every cell's reps, one task call per run of consecutive reps;
+    the rows nested by cell, in rep order."""
     nested = [[None] * config.reps for _ in points]
-    pairs = [(cell, rep) for cell in range(len(points))
-             for rep in range(config.reps)]
     streams = RngStream.keyed(config.seed, [(cell * _GRID_STRIDE + rep) * _BLOCK
-                                            for cell, rep in pairs])
+                                            for cell in range(len(points))
+                                            for rep in range(config.reps)])
 
-    def one(index: int):
-        cell, rep = pairs[index]
-        return spec.task(config, points[cell], rep, streams[index])
+    def runs():
+        for cell, point in enumerate(points):
+            length = (1 if spec.reps_per_task is None
+                      else spec.reps_per_task(config, point))
+            for first in range(0, config.reps, length):
+                yield cell, range(first, min(first + length, config.reps))
+
+    def one(cell: int, reps: range):
+        offset = cell * config.reps
+        nested[cell][reps.start:reps.stop] = spec.task(
+            config, points[cell], reps,
+            streams[offset + reps.start:offset + reps.stop])
 
     if config.workers == 1:
-        for index, (cell, rep) in enumerate(pairs):
-            nested[cell][rep] = one(index)
-    else:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            futures = [pool.submit(one, index) for index in range(len(pairs))]
-            # On the first failure drop the tasks not yet started; the
-            # earliest failed task in submission order is then re-raised.
-            wait(futures, return_when=FIRST_EXCEPTION)
-            pool.shutdown(cancel_futures=True)
-            for (cell, rep), future in zip(pairs, futures):
-                nested[cell][rep] = future.result()
+        for cell, reps in runs():
+            one(cell, reps)
+        return nested
+
+    # Each worker takes the next run when it is free, so only the runs being
+    # computed have left the generator, however many runs the batch has.
+    # After a failure no worker takes another run; every run before the
+    # failed one was taken earlier and finishes, so the earliest failure
+    # in run order is the one re-raised.
+    todo = enumerate(runs())
+    lock = threading.Lock()
+    failures = []
+
+    def work():
+        while True:
+            with lock:
+                if failures:
+                    return
+                index, run = next(todo, (None, None))
+            if run is None:
+                return
+            try:
+                one(*run)
+            except Exception as exc:
+                with lock:
+                    failures.append((index, exc))
+                return
+
+    with ThreadPoolExecutor(max_workers=config.workers) as pool:
+        for future in [pool.submit(work) for _ in range(config.workers)]:
+            future.result()
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
     return nested
 
 

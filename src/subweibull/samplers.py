@@ -13,6 +13,15 @@ as ``Generator.random`` forms it, and its lowest bit gives the sign.  The
 values are built in place in cache-sized chunks.  ``Pareto`` keeps its
 ``random`` draw followed by an ``integers`` sign draw.
 
+The stacked draw: ``SymmetricWeibull.sample`` also takes a list of k
+generators with a size (k, ...), and slice r of the result is then what
+``sample(gens[r], size[1:])`` returns on its own, bit for bit.  Slice r
+reads its words from generator r alone, in order, and the chunked
+transform runs over the whole block, so a chunk may hold the words of
+several generators.  ``draw_stack(law, n, streams)`` builds one generator
+per stream and stacks the n-row samples that ``draw_matrix`` would draw
+from each.
+
 Laws closed under convolution also draw the sum of n iid copies
 directly (``sample_sums``), so a statistic of column sums costs q draws
 per replication instead of n*q.  Each sum law is itself sampled through
@@ -72,6 +81,7 @@ __all__ = [
     "DataMatrix",
     "RegressionData",
     "draw_matrix",
+    "draw_stack",
     "make_regression",
 ]
 
@@ -201,6 +211,24 @@ class RngStream:
         return np.random.Generator(np.random.SFC64(seq))
 
 
+def _raw_words(gens, span: int, start: int, count: int) -> np.ndarray:
+    """The bit words of flat positions [start, start + count) of a block in
+    which ``gens[r]`` owns positions [r span, (r + 1) span), read in order.
+
+    Words from one generator come as ``random_raw`` returns them; only a
+    range that crosses into the next generator's positions is copied."""
+    first = start // span
+    last = (start + count - 1) // span
+    if first == last:
+        return gens[first].bit_generator.random_raw(count)
+    words = np.empty(count, dtype=np.uint64)
+    for r in range(first, last + 1):
+        lo = max(r * span, start) - start
+        hi = min((r + 1) * span - start, count)
+        words[lo:hi] = gens[r].bit_generator.random_raw(hi - lo)
+    return words
+
+
 # ---------------------------------------------------------------------------
 # scalar laws
 
@@ -263,13 +291,22 @@ class SymmetricWeibull(ScalarLaw):
         if not self.alpha > 0.0:
             raise ValueError("alpha must be positive")
 
-    def sample(self, gen: np.random.Generator, size):
+    def sample(self, gen, size):
+        """Values of shape ``size`` from ``gen``, or from a list of k
+        generators with ``size`` (k, ...), slice r from ``gen[r]``."""
         out = np.empty(size)
         flat = out.reshape(-1)
+        if isinstance(gen, (list, tuple)):
+            if out.ndim == 0 or out.shape[0] != len(gen):
+                raise ValueError("size must lead with one slice per generator")
+            gens = gen
+        else:
+            gens = (gen,)
+        span = flat.size // len(gens)
         for start in range(0, flat.size, _CHUNK):
             chunk = flat[start:start + _CHUNK]
             chunk_bits = chunk.view(np.uint64)
-            words = gen.bit_generator.random_raw(chunk.size)
+            words = _raw_words(gens, span, start, chunk.size)
             # the output's bits hold w >> 11 until U = (w >> 11) 2^-53
             # replaces them
             np.right_shift(words, 11, out=chunk_bits)
@@ -566,7 +603,8 @@ class IidCoordinates(VectorLaw):
 
 @dataclass(frozen=True, eq=False)
 class DataMatrix:
-    """n x p sample with the law it came from."""
+    """n x p sample with the law it came from, or a (k, n, p) stack of k
+    such samples."""
 
     n: int
     p: int
@@ -575,9 +613,10 @@ class DataMatrix:
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=float)
-        if values.shape != (self.n, self.p):
+        if values.ndim not in (2, 3) or values.shape[-2:] != (self.n, self.p):
             raise ValueError(
                 f"values have shape {values.shape}, expected {(self.n, self.p)}"
+                " or a stack of them"
             )
         if not np.isfinite(values).all():
             raise ValueError("values must be finite")
@@ -598,6 +637,20 @@ def draw_matrix(law: VectorLaw, n: int, rng: RngStream) -> DataMatrix:
     if not n >= 1:
         raise ValueError("n must be at least 1")
     values = law.draw_rows(rng.generator(), int(n))
+    return DataMatrix(int(n), law.dim, values, law)
+
+
+def draw_stack(law: IidCoordinates, n: int, streams) -> DataMatrix:
+    """A (len(streams), n, p) stack whose slice r is
+    ``draw_matrix(law, n, streams[r]).values`` bit for bit.
+
+    The marginal of ``law`` must take a list of generators
+    (``SymmetricWeibull`` does); the whole stack is one ``sample`` call.
+    """
+    if not n >= 1:
+        raise ValueError("n must be at least 1")
+    gens = [stream.generator() for stream in streams]
+    values = law.marginal.sample(gens, (len(gens), int(n), law.dim))
     return DataMatrix(int(n), law.dim, values, law)
 
 

@@ -165,39 +165,62 @@ def quasi_norm_suite(samples, alphas=(0.5, 1.0, 2.0), tol=NORM_TOL):
     return checks, violations
 
 
-def lasso_oracle_objective(x, y, lam, iterations=20000):
-    """Independent slow-but-sure solver for the l1 objective.
+def _stacked_apply(matrices, vectors):
+    """matrices[i] @ vectors[i] for every i of the stack."""
+    return (matrices @ vectors[..., None])[..., 0]
+
+
+def lasso_oracle_objectives(problems, iterations=20000):
+    """Independent slow-but-sure solver for the l1 objective of each
+    (x, y, lam) in ``problems``.
 
     Accelerated projected gradient on the nonnegative split beta = u - v
-    (smooth objective, clip-at-zero projection); returns the best
-    objective value seen.  Deliberately shares no code with the
+    (smooth objective, clip-at-zero projection); returns the best objective
+    value seen, per problem.  The problems run as one stack, zero-padded to
+    the largest n and p, each with its own n, lam and step 1/L: a zero row
+    adds nothing to a residual or a gradient, and a zero column keeps
+    u = v = 0 since lam > 0.  Deliberately shares no code with the
     coordinate descent path.
     """
     import math
 
     import numpy as np
 
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n, p = x.shape
-    lipschitz = float(np.linalg.eigvalsh(x.T @ x / n)[-1])
-    if lipschitz == 0.0:
-        return float(y @ y) / (2.0 * n)
-    step = 1.0 / lipschitz
-    u = np.zeros(p)
-    v = np.zeros(p)
+    count = len(problems)
+    n_max = max(np.shape(x)[0] for x, _, _ in problems)
+    p_max = max(np.shape(x)[1] for x, _, _ in problems)
+    xs = np.zeros((count, n_max, p_max))
+    ys = np.zeros((count, n_max))
+    ns = np.empty((count, 1))
+    lams = np.empty((count, 1))
+    steps = np.zeros((count, 1))
+    for i, (x, y, lam) in enumerate(problems):
+        x = np.asarray(x, dtype=float)
+        n, p = x.shape
+        xs[i, :n, :p] = x
+        ys[i, :n] = y
+        ns[i] = n
+        lams[i] = lam
+        lipschitz = float(np.linalg.eigvalsh(x.T @ x / n)[-1])
+        # with x = 0 the step stays 0, so u = v = 0 and the value is y'y/2n
+        if lipschitz > 0.0:
+            steps[i] = 1.0 / lipschitz
+    xts = np.swapaxes(xs, 1, 2)
+    u = np.zeros((count, p_max))
+    v = np.zeros((count, p_max))
     look_u, look_v = u.copy(), v.copy()
     momentum = 1.0
-    best = float(y @ y) / (2.0 * n)
+    best = np.sum(ys * ys, axis=1) / (2.0 * ns[:, 0])
     for _ in range(iterations):
-        gradient = x.T @ (y - x @ (look_u - look_v)) / n
-        next_u = np.maximum(look_u - step * (lam - gradient), 0.0)
-        next_v = np.maximum(look_v - step * (lam + gradient), 0.0)
+        gradient = _stacked_apply(xts, ys - _stacked_apply(xs, look_u - look_v)) / ns
+        next_u = np.maximum(look_u - steps * (lams - gradient), 0.0)
+        next_v = np.maximum(look_v - steps * (lams + gradient), 0.0)
         next_momentum = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * momentum**2))
         look_u = next_u + (momentum - 1.0) / next_momentum * (next_u - u)
         look_v = next_v + (momentum - 1.0) / next_momentum * (next_v - v)
         u, v, momentum = next_u, next_v, next_momentum
-        residual = y - x @ (u - v)
-        value = float(residual @ residual) / (2.0 * n) + lam * float(np.sum(u + v))
-        best = min(best, value)
+        residual = ys - _stacked_apply(xs, u - v)
+        value = (np.sum(residual * residual, axis=1) / (2.0 * ns[:, 0])
+                 + lams[:, 0] * np.sum(u + v, axis=1))
+        best = np.minimum(best, value)
     return best

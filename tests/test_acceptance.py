@@ -14,10 +14,9 @@ raises ``InvariantViolation``.  The other gates stay inline:
 - tail domination: the gate takes each cell's 20,000 column sums from
   ``IidCoordinates.column_sums``, in closed form at alpha = 1, while
   ``tailcheck`` draws n*q rows per task at every alpha (the benchmark
-  counts them).  Through ``tailcheck`` the gate took 59.3 s at one
-  worker and 58.7 s at two, against 44.9 s inline (2 vCPUs), and 631 MB
-  peak RSS against 101 MB, since the runner submits all 240,000 tasks
-  at once;
+  counts them).  Through ``tailcheck`` the gate took 58.0 s at one
+  worker and 52.6 s at two, against 39-45 s inline (2 vCPUs), and
+  158 MB peak RSS against 101 MB;
 - the net certificate (random (p, n, k) instances), solver vs oracle,
   the norm oracle and the norm suites are not grid sweeps;
 - rerun determinism already runs every experiment through ``ex.run``.
@@ -267,6 +266,7 @@ def test_solver_matches_independent_oracle():
     gen = np.random.default_rng(SEED)
     tol = 1e-8
     worst_rel = worst_kkt = 0.0
+    problems, objectives = [], []
     for _ in range(50):
         n = int(gen.integers(40, 121))
         p = int(gen.integers(8, 25))
@@ -279,12 +279,14 @@ def test_solver_matches_independent_oracle():
         law = sp.IidCoordinates(sp.Gaussian(1.0), p)
         fit = ls.solve(sp.DataMatrix(n, p, x, law), y, lam, tol=tol)
         assert fit.converged
-        objective = (0.5 * float(np.sum((y - x @ fit.beta) ** 2)) / n
-                     + lam * float(np.sum(np.abs(fit.beta))))
-        oracle = helpers.lasso_oracle_objective(x, y, lam)
+        problems.append((x, y, lam))
+        objectives.append(0.5 * float(np.sum((y - x @ fit.beta) ** 2)) / n
+                          + lam * float(np.sum(np.abs(fit.beta))))
+        worst_kkt = max(worst_kkt, fit.kkt_residual)
+    for objective, oracle in zip(objectives,
+                                 helpers.lasso_oracle_objectives(problems)):
         worst_rel = max(worst_rel,
                         abs(objective - oracle) / max(1.0, abs(oracle)))
-        worst_kkt = max(worst_kkt, fit.kkt_residual)
     elapsed = time.perf_counter() - t0
     ok = worst_rel <= 1e-6 and worst_kkt <= 10.0 * tol and elapsed < 60.0
     _line("solver matches independent oracle", ok,

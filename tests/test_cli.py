@@ -198,7 +198,8 @@ def test_run_invariant_violation_exits_3(tmp_path, capsys):
     def boom(config, point, rep, stream):
         raise ex.InvariantViolation("forced for the test")
 
-    ex.REGISTRY["boom"] = dataclasses.replace(spec, name="boom", task=boom)
+    ex.REGISTRY["boom"] = dataclasses.replace(
+        spec, name="boom", task=ex._each_rep(boom))
     try:
         cfg = _write_config(tmp_path, "experiment = boom\nn = 100\nreps = 1\n")
         assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 3

@@ -54,6 +54,8 @@ def test_max_elementwise_error():
         cv.max_elementwise_error(a, np.eye(3))
     with pytest.raises(ValueError):
         cv.max_elementwise_error(np.zeros((2, 3)), np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="equal shapes"):
+        cv.max_elementwise_error(np.zeros((3, 2, 2)), np.zeros((2, 2, 2)))
 
 
 def test_max_elementwise_error_matches_triu_reference():
@@ -80,6 +82,29 @@ def test_max_elementwise_error_matches_triu_reference():
                 expected = np.max(np.abs(np.triu(a - b)))
                 got = cv.max_elementwise_error(a, b)
             assert np.float64(got).view(np.uint64) == expected.view(np.uint64), (a, b)
+
+
+@pytest.mark.parametrize("p", [1, 5, 50])
+@pytest.mark.parametrize("n", [1, 2, 20, 250])
+def test_kernels_on_a_stack_match_each_matrix(p, n):
+    law = sp.IidCoordinates(sp.SymmetricWeibull(1.0), p)
+    streams = [sp.RngStream(11, 8 * r) for r in range(4)]
+    stack = sp.draw_stack(law, n, streams)
+    target = np.diag(law.coordinate_variances)
+    for kernel in [cv.gram] + ([cv.centered_cov] if n >= 2 else []):
+        stacked = kernel(stack)
+        errors = cv.max_elementwise_error(stacked, target)
+        assert errors.shape == (4,)
+        assert np.array_equal(cv.max_elementwise_error(stacked, stacked), np.zeros(4))
+        for r, stream in enumerate(streams):
+            x = sp.draw_matrix(law, n, stream)
+            assert np.array_equal(stack.values[r].view(np.uint64),
+                                  x.values.view(np.uint64))
+            alone = kernel(x)
+            assert np.array_equal(stacked[r].view(np.uint64), alone.view(np.uint64))
+            error = cv.max_elementwise_error(alone, target)
+            assert type(error) is float
+            assert np.float64(error).view(np.uint64) == errors[r].view(np.uint64)
 
 
 def test_delta_bound_values():

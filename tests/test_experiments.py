@@ -7,13 +7,17 @@ import dataclasses
 import hashlib
 import json
 import math
+import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 import subweibull
+from subweibull import covariance as cv
 from subweibull import experiments as ex
+from subweibull import samplers as sp
 
 
 def _parse(text):
@@ -430,6 +434,28 @@ def test_run_workers_do_not_change_bytes(tmp_path, text):
         (out_b / "summary.csv").read_bytes()
 
 
+@pytest.mark.parametrize("centered", [0, 1])
+@pytest.mark.parametrize("workers", [1, 3])
+def test_run_covariance_runs_match_the_per_rep_reference(tmp_path, workers,
+                                                         centered):
+    # n p = 100 and 150 give runs of 327 and 218 reps, so 700 reps end in a
+    # shorter run in both cells; each row is the rep's own draw_matrix
+    text = (f"experiment = covariance\nalpha = 0.5\np = 5\nn = 20, 30\n"
+            f"centered = {centered}\nreps = 700\nseed = 4\nworkers = {workers}\n")
+    spec = ex.REGISTRY["covariance"]
+    config = _parse(text)
+    assert [spec.reps_per_task(config, {"p": 5, "n": n}) for n in (20, 30)] == [327, 218]
+    _, out = _run(text, tmp_path)
+    rows = _read_rows(out / "results.csv")
+    assert len(rows) == 2 * 700
+    law = sp.IidCoordinates(sp.SymmetricWeibull(0.5), 5)
+    target = np.diag(law.coordinate_variances)
+    kernel = cv.centered_cov if centered else cv.gram
+    for row in rows:
+        x = sp.draw_matrix(law, int(row["n"]), sp.RngStream(4, int(row["stream"])))
+        assert row["delta"] == "%.17g" % cv.max_elementwise_error(kernel(x), target)
+
+
 def test_run_seed_changes_results(tmp_path):
     _, out_a = _run(NORMS_SMALL, tmp_path, "a")
     _, out_b = _run(NORMS_SMALL.replace("seed = 5", "seed = 6"), tmp_path, "b")
@@ -608,7 +634,8 @@ def test_run_propagates_invariant_violations(tmp_path):
     def boom(config, point, rep, stream):
         raise ex.InvariantViolation("forced for the test")
 
-    ex.REGISTRY["boom"] = dataclasses.replace(spec, name="boom", task=boom)
+    ex.REGISTRY["boom"] = dataclasses.replace(
+        spec, name="boom", task=ex._each_rep(boom))
     try:
         config = _parse(
             f"experiment = boom\nalpha = 1\nn = 100\nreps = 1\n"
@@ -636,7 +663,7 @@ def test_threaded_run_stops_at_first_failure(tmp_path):
         return {"estimate": 1.0}
 
     ex.REGISTRY["first_fails"] = dataclasses.replace(
-        spec, name="first_fails", task=first_fails)
+        spec, name="first_fails", task=ex._each_rep(first_fails))
     try:
         config = _parse(
             f"experiment = first_fails\nalpha = 1\nn = 100\nreps = 40\n"
@@ -648,6 +675,56 @@ def test_threaded_run_stops_at_first_failure(tmp_path):
         del ex.REGISTRY["first_fails"]
     assert 0 in calls
     assert len(calls) < 10
+
+
+def _norms_runs(task, reps, workers):
+    """``_execute`` on one norms cell with ``task`` per rep."""
+    config = _parse(f"experiment = norms\nreps = {reps}\nworkers = {workers}\n")
+    spec = dataclasses.replace(ex.REGISTRY["norms"], task=ex._each_rep(task))
+    return ex._execute(config, spec, [{"alpha": 1.0, "n": 10}])
+
+
+def test_threaded_run_takes_runs_as_workers_free_up(monkeypatch):
+    # the pool gets one job per worker, which takes runs one at a time,
+    # not one future per run made up front; with more workers than cores
+    # and frequent thread switches every run still lands in its own row
+    submitted = []
+
+    class CountingPool(ThreadPoolExecutor):
+        def submit(self, fn, /, *args, **kwargs):
+            submitted.append(fn)
+            return super().submit(fn, *args, **kwargs)
+
+    def task(config, point, rep, stream):
+        return {"estimate": float(rep)}
+
+    monkeypatch.setattr(ex, "ThreadPoolExecutor", CountingPool)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        (rows,) = _norms_runs(task, 3000, 8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert [row["estimate"] for row in rows] == [float(r) for r in range(3000)]
+    assert len(submitted) == 8
+
+
+def test_threaded_run_raises_the_earliest_failure():
+    # rep 1 fails first, rep 0 later: the earlier run is re-raised, and no
+    # worker takes a run once one has failed
+    calls = []
+
+    def task(config, point, rep, stream):
+        calls.append(rep)
+        if rep == 0:
+            time.sleep(0.05)
+        if rep < 2:
+            raise ex.InvariantViolation(f"rep {rep} failed")
+        return {"estimate": 1.0}
+
+    with pytest.raises(ex.InvariantViolation, match="rep 0 failed"):
+        _norms_runs(task, 500, 2)
+    assert sorted(calls) == [0, 1]
 
 
 def test_list_experiments_names():

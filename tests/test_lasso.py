@@ -81,7 +81,7 @@ def test_solver_matches_independent_oracle():
         fit = ls.solve(x, y, 0.1, tol=tol)
         assert fit.converged
         assert fit.kkt_residual <= 10.0 * tol
-        oracle = helpers.lasso_oracle_objective(x.values, y, 0.1)
+        (oracle,) = helpers.lasso_oracle_objectives([(x.values, y, 0.1)])
         assert _objective(x, y, 0.1, fit.beta) == pytest.approx(oracle, rel=1e-6)
 
 

@@ -104,6 +104,8 @@ def test_scalar_law_validation():
         sp.Pareto(-2.0)
     with pytest.raises(ValueError):
         sp.Pareto(2.0, scale=0.0)
+    with pytest.raises(ValueError, match="one slice per generator"):
+        sp.SymmetricWeibull(1.0).sample([sp.RngStream(0, 0).generator()], (2, 3))
 
 
 _CONTRACT_SIZES = [1, 2**15 - 1, 2**15, 2**15 + 1, (3, 4, 2**12 + 3)]
@@ -153,6 +155,22 @@ def test_weibull_stream_contract(alpha, size):
     if alpha != 1.0:
         former = np.power(former, 1.0 / alpha)
     assert np.array_equal(np.abs(z).view(np.uint64), former.view(np.uint64))
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("shape", [
+    (3, 2**15 + 5),  # a slice spans chunks, and a chunk ends inside a slice
+    (9, 20, 5),  # several slices inside one chunk
+    (6, 7, 1000),  # slice boundaries in mid-chunk, across two chunks
+])
+def test_weibull_stacked_draw_matches_each_generator(alpha, shape):
+    law = sp.SymmetricWeibull(alpha)
+    streams = [sp.RngStream(5, 8 * r) for r in range(shape[0])]
+    stack = law.sample([stream.generator() for stream in streams], shape)
+    assert stack.shape == shape
+    for r, stream in enumerate(streams):
+        alone = law.sample(stream.generator(), shape[1:])
+        assert np.array_equal(stack[r].view(np.uint64), alone.view(np.uint64))
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
@@ -275,6 +293,14 @@ def test_data_matrix_validation():
         sp.DataMatrix(1, 2, np.array([[1.0, math.inf]]), law)
     with pytest.raises(ValueError):
         sp.draw_matrix(law, 0, sp.RngStream(0, 0))
+    # a (k, n, p) stack of samples passes the same checks
+    assert sp.DataMatrix(3, 2, np.zeros((4, 3, 2)), law).values.shape == (4, 3, 2)
+    with pytest.raises(ValueError, match="values have shape"):
+        sp.DataMatrix(3, 2, np.zeros((4, 2, 3)), law)
+    with pytest.raises(ValueError, match="finite"):
+        sp.DataMatrix(1, 2, np.array([[[0.0, 0.0]], [[1.0, math.nan]]]), law)
+    with pytest.raises(ValueError, match="n must be"):
+        sp.draw_stack(law, 0, [sp.RngStream(0, 0)])
 
 
 def test_make_regression_well_specified():
