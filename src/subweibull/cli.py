@@ -14,6 +14,7 @@ from pathlib import Path
 
 from . import __version__
 from .experiments import (
+    _MAX_WORKERS,
     ConfigError,
     InvariantViolation,
     list_experiments,
@@ -36,7 +37,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--out", metavar="DIR",
                             help="output directory (overrides the config)")
     run_parser.add_argument("--workers", type=int, metavar="N",
-                            help="concurrent tasks (overrides the config)")
+                            help=f"concurrent tasks, at most {_MAX_WORKERS} "
+                                 "(overrides the config)")
     run_parser.add_argument("--seed", type=int, metavar="S",
                             help="base seed (overrides the config)")
 
@@ -67,8 +69,9 @@ def main(argv=None) -> int:
         if args.out is not None:
             config = dataclasses.replace(config, output_dir=args.out)
         if args.workers is not None:
-            if args.workers < 1:
-                raise ConfigError("--workers must be at least 1")
+            if not 1 <= args.workers <= _MAX_WORKERS:
+                raise ConfigError(
+                    f"--workers must lie in [1, {_MAX_WORKERS}]")
             config = dataclasses.replace(config, workers=args.workers)
         if args.seed is not None:
             if not 0 <= args.seed < 2**63:

@@ -8,9 +8,10 @@ workers execute it or in what order they finish.  One task call covers
 a run of consecutive repetitions of one cell, a single one unless the
 experiment sets a longer run; ``covariance`` draws and reduces a whole
 run as one stack.  With several workers each takes the next run when it
-is free.  The driver writes results.csv, summary.csv, one SVG of the
-headline per grid axis, and a manifest.json listing every artifact with
-its SHA-256 digest.  The tables hold only what varies by row; the
+is free; the task streams are keyed a block of whole runs at a time, as
+the runs are taken.  The driver writes results.csv, summary.csv, one SVG
+of the headline per grid axis, and a manifest.json listing every
+artifact with its SHA-256 digest.  The tables hold only what varies by row; the
 manifest carries the tables' schema tag and echoes the config, the
 five bound constants included.  For an experiment whose claim is a
 rate in n, the driver also fits the summary's headline log-log over n
@@ -117,6 +118,11 @@ class InvariantViolation(RuntimeError):
 # long as reps stays below the stride.
 _GRID_STRIDE = 1_000_003
 _BLOCK = 8
+# Streams are keyed about this many at a time, in whole runs of one cell.
+_KEY_BLOCK = 2**15
+# Ceiling on the worker count: workers are threads, and the interpreter
+# lock leaves little to gain from many more threads than cores.
+_MAX_WORKERS = 64
 
 _INT_GRID_KEYS = frozenset({"n", "p", "k", "q"})
 # Lowest Weibull order, for grids and options alike: below about 0.012
@@ -361,6 +367,9 @@ def parse_config(text: str) -> ExperimentConfig:
                 )
         elif key == "workers":
             workers = _parse_int(key, value, lineno, minimum=1)
+            if workers > _MAX_WORKERS:
+                raise ConfigError(
+                    f"line {lineno}: workers must be at most {_MAX_WORKERS}")
         elif key == "output_dir":
             if not value:
                 raise ConfigError(f"line {lineno}: output_dir must not be empty")
@@ -508,9 +517,12 @@ def _norms_summary(config, point, rows):
 
 
 def _tailcheck_task(config, point, rep, stream):
-    law = SymmetricWeibull(point["alpha"])
-    x = law.sample(stream.generator(), (point["n"], point["q"]))
-    return {"max_average": float(np.max(np.abs(x.mean(axis=0))))}
+    n = point["n"]
+    x = SymmetricWeibull(point["alpha"]).sample(stream.generator(), (n, point["q"]))
+    # the ufuncs x.mean(axis=0) and np.max run, without their Python
+    # wrappers: the same value bit for bit
+    means = np.add.reduce(x, axis=0) / n
+    return {"max_average": float(np.maximum.reduce(np.abs(means, out=means)))}
 
 
 def _tailcheck_bound(config, alpha, n, q, t):
@@ -1197,11 +1209,77 @@ def _build_table(rows) -> CsvTable:
     return CsvTable(header, tuple(tuple(row[h] for h in header) for row in rows))
 
 
+def _task_table(points, nested) -> CsvTable:
+    """results.csv of the task rows: each row's grid point, rep and stream
+    id, then the task's columns.
+
+    The task columns are checked once per cell, as key tuples compared in
+    one pass, and each row becomes a tuple without a merged dict.
+    """
+    header = None
+    rows = []
+    for cell, (point, cell_rows) in enumerate(zip(points, nested)):
+        keys = tuple(cell_rows[0])
+        cell_header = (*point, "rep", "stream", *keys)
+        if header is None:
+            header = cell_header
+            if len(set(header)) != len(header):
+                raise ValueError(f"task columns {keys} repeat a grid, rep or "
+                                 "stream column")
+        if (cell_header != header
+                or list(map(tuple, cell_rows)).count(keys) != len(cell_rows)):
+            raise ValueError("rows disagree on columns")
+        lead = tuple(point.values())
+        stream = cell * _GRID_STRIDE * _BLOCK
+        rows.extend([(*lead, rep, stream + rep * _BLOCK, *row.values())
+                     for rep, row in enumerate(cell_rows)])
+    return CsvTable(header, tuple(rows))
+
+
+# how write_csv prints a column whose cells are all of one of these types;
+# the same text as _format_cell
+_COLUMN_FORMATS = {float: "%.17g", int: "%d", bool: "%d"}
+
+
+def _column_format(column) -> Optional[str]:
+    """The %-format of every cell of the column, or None for a column of
+    mixed or other types.  A column of one repeated value gets its text
+    instead, formatted once (a number, so it never starts with '%');
+    never a zero, as 0.0 and -0.0 compare equal but print apart."""
+    kinds = set(map(type, column))
+    if len(kinds) != 1:
+        return None
+    spec = _COLUMN_FORMATS.get(kinds.pop())
+    first = column[0]
+    if spec is not None and first != 0 and column.count(first) == len(column):
+        return spec % first
+    return spec
+
+
 def write_csv(path: Path, table: CsvTable) -> None:
-    lines = [",".join(table.header)]
-    lines.extend(",".join(map(_format_cell, row)) for row in table.rows)
+    """The table as CSV, each cell as ``_format_cell`` prints it.
+
+    Written column by column: each column's types are checked once, and
+    every row goes through one %-format line; a column of mixed types is
+    formatted cell by cell through ``_format_cell``.
+    """
+    specs = []
+    args = []
+    for column in zip(*table.rows):
+        spec = _column_format(column)
+        if spec is None:
+            spec = "%s"
+            column = list(map(_format_cell, column))
+        specs.append(spec)
+        if spec[0] == "%":  # not the text of a repeated value
+            args.append(column)
+    line = ",".join(specs) + "\n"
+    if args:
+        body = "".join(map(line.__mod__, zip(*args)))
+    else:
+        body = line * len(table.rows)
     with open(path, "w", newline="") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write(",".join(table.header) + "\n" + body)
 
 
 # ---------------------------------------------------------------------------
@@ -1343,26 +1421,35 @@ def _execute(config: ExperimentConfig, spec: Experiment, points):
     """Run every cell's reps, one task call per run of consecutive reps;
     the rows nested by cell, in rep order."""
     nested = [[None] * config.reps for _ in points]
-    streams = RngStream.keyed(config.seed, [(cell * _GRID_STRIDE + rep) * _BLOCK
-                                            for cell in range(len(points))
-                                            for rep in range(config.reps)])
+    lengths = [1 if spec.reps_per_task is None
+               else spec.reps_per_task(config, point) for point in points]
 
     def runs():
-        for cell, point in enumerate(points):
-            length = (1 if spec.reps_per_task is None
-                      else spec.reps_per_task(config, point))
-            for first in range(0, config.reps, length):
-                yield cell, range(first, min(first + length, config.reps))
+        # A cell's streams are keyed a block of whole runs at a time, when
+        # the block's first run is taken, so the streams alive at once stay
+        # bounded however many reps and cells the batch has.
+        for cell, length in enumerate(lengths):
+            block = length * max(1, _KEY_BLOCK // length)
+            base = cell * _GRID_STRIDE
+            for start in range(0, config.reps, block):
+                stop = min(start + block, config.reps)
+                streams = RngStream.keyed(config.seed, range(
+                    (base + start) * _BLOCK, (base + stop) * _BLOCK, _BLOCK))
+                for first in range(start, stop, length):
+                    last = min(first + length, stop)
+                    yield (cell, range(first, last),
+                           streams[first - start:last - start])
 
-    def one(cell: int, reps: range):
-        offset = cell * config.reps
+    def one(cell: int, reps: range, streams):
         nested[cell][reps.start:reps.stop] = spec.task(
-            config, points[cell], reps,
-            streams[offset + reps.start:offset + reps.stop])
+            config, points[cell], reps, streams)
 
-    if config.workers == 1:
-        for cell, reps in runs():
-            one(cell, reps)
+    # no more threads than runs
+    workers = min(config.workers,
+                  sum(-(-config.reps // length) for length in lengths))
+    if workers <= 1:
+        for run in runs():
+            one(*run)
         return nested
 
     # Each worker takes the next run when it is free, so only the runs being
@@ -1389,8 +1476,8 @@ def _execute(config: ExperimentConfig, spec: Experiment, points):
                     failures.append((index, exc))
                 return
 
-    with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        for future in [pool.submit(work) for _ in range(config.workers)]:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for future in [pool.submit(work) for _ in range(workers)]:
             future.result()
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]
@@ -1464,15 +1551,10 @@ def run(config: ExperimentConfig) -> RunManifest:
 
     result_rows = []
     summary_rows = []
-    for cell, (point, rows) in enumerate(zip(points, nested)):
+    for point, rows in zip(points, nested):
         if spec.collect is not None:
             rows = spec.collect(config, point, rows)
             result_rows.extend(rows)
-        else:
-            base = cell * _GRID_STRIDE * _BLOCK
-            for rep, row in enumerate(rows):
-                result_rows.append({**point, "rep": rep,
-                                    "stream": base + rep * _BLOCK, **row})
         summary_rows.append({**point, **spec.summarize(config, point, rows)})
     if spec.rate:
         _attach_slope(summary_rows, "n", spec.scan_keys, spec.headline)
@@ -1482,7 +1564,10 @@ def run(config: ExperimentConfig) -> RunManifest:
         notes = (f"{stalled} of {len(points) * config.reps} fits did not "
                  "converge (column nonconverged of summary.csv)",)
 
-    results = _build_table(result_rows)
+    if spec.collect is not None:
+        results = _build_table(result_rows)
+    else:
+        results = _task_table(points, nested)
     summary = _build_table(summary_rows)
 
     files = []

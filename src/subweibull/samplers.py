@@ -156,6 +156,13 @@ def _stream_keys(seed: int, stream_ids) -> np.ndarray:
     return words.view("<u8").astype(np.uint64, copy=False)
 
 
+def _check_word(name: str, value) -> None:
+    if not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer")
+    if not 0 <= int(value) < _UINT64_BOUND:
+        raise ValueError(f"{name} must fit in an unsigned 64-bit integer")
+
+
 class _StreamKey(ISeedSequence):
     """SFC64 seed words already derived, handed to ``SFC64`` as its seed."""
 
@@ -163,7 +170,9 @@ class _StreamKey(ISeedSequence):
         self._key = key
 
     def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 3 or np.dtype(dtype) != np.uint64:
+        # SFC64 asks for np.uint64 itself; the identity test skips np.dtype
+        if n_words != 3 or (dtype is not np.uint64
+                            and np.dtype(dtype) != np.uint64):
             raise ValueError("an SFC64 seed is three uint64 words")
         return self._key
 
@@ -187,20 +196,39 @@ class RngStream:
                                        repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for name in ("seed", "stream_id"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)):
-                raise TypeError(f"{name} must be an integer")
-            if not 0 <= int(value) < _UINT64_BOUND:
-                raise ValueError(f"{name} must fit in an unsigned 64-bit integer")
+        _check_word("seed", self.seed)
+        _check_word("stream_id", self.stream_id)
 
     @classmethod
     def keyed(cls, seed: int, stream_ids) -> list:
-        """The streams (seed, i) for i in ``stream_ids``, seeds derived in one pass."""
-        streams = [cls(seed, i) for i in stream_ids]
-        keys = _stream_keys(int(seed), [int(s.stream_id) for s in streams])
-        for stream, key in zip(streams, keys):
-            object.__setattr__(stream, "_key", key)
+        """The streams (seed, i) for i in ``stream_ids``, seeds derived in one pass.
+
+        Raises what ``RngStream(seed, i)`` raises for the first bad value.
+        The ids are checked as one array, and each stream's fields are
+        set directly, without a ``__post_init__`` per stream.
+        """
+        _check_word("seed", seed)
+        ids = list(stream_ids)
+        words = np.asarray(ids)
+        kind = words.dtype.kind
+        if (words.ndim != 1 or kind not in "biu"
+                or (kind == "i" and words.size and words.min() < 0)):
+            # not one array of valid ids (a float, a negative id, an id of
+            # 2**64 or more, or valid ids numpy stored as float or object):
+            # check each as a stream would, then convert each exactly
+            for i in ids:
+                _check_word("stream_id", i)
+            words = np.array([int(i) for i in ids], dtype=np.uint64)
+        keys = _stream_keys(int(seed), words)
+        new = object.__new__
+        streams = []
+        for i, key in zip(ids, keys):
+            stream = new(cls)
+            fields = stream.__dict__
+            fields["seed"] = seed
+            fields["stream_id"] = i
+            fields["_key"] = key
+            streams.append(stream)
         return streams
 
     def generator(self) -> np.random.Generator:
@@ -215,18 +243,18 @@ def _raw_words(gens, span: int, start: int, count: int) -> np.ndarray:
     """The bit words of flat positions [start, start + count) of a block in
     which ``gens[r]`` owns positions [r span, (r + 1) span), read in order.
 
-    Words from one generator come as ``random_raw`` returns them; only a
-    range that crosses into the next generator's positions is copied."""
+    Words from one generator come as ``random_raw`` returns them; a range
+    that crosses into the next generator's positions is one concatenation
+    of each generator's share."""
     first = start // span
-    last = (start + count - 1) // span
+    stop = start + count
+    last = (stop - 1) // span
     if first == last:
         return gens[first].bit_generator.random_raw(count)
-    words = np.empty(count, dtype=np.uint64)
-    for r in range(first, last + 1):
-        lo = max(r * span, start) - start
-        hi = min((r + 1) * span - start, count)
-        words[lo:hi] = gens[r].bit_generator.random_raw(hi - lo)
-    return words
+    return np.concatenate([
+        gens[r].bit_generator.random_raw(
+            min((r + 1) * span, stop) - max(r * span, start))
+        for r in range(first, last + 1)])
 
 
 # ---------------------------------------------------------------------------

@@ -226,6 +226,14 @@ def test_run_rejects_bad_flag_values(tmp_path, capsys):
     assert cli.main(["run", cfg, "--seed", "-1"]) == 2
     err = capsys.readouterr().err
     assert "--workers" in err and "--seed" in err
+    # above the ceiling: refused before any thread starts
+    for workers in ("65", "1000000000"):
+        assert cli.main(["run", cfg, "--workers", workers]) == 2
+        assert "--workers must lie in [1, 64]" in capsys.readouterr().err
+    cfg = _write_config(tmp_path, NORMS_SMALL + "workers = 100000\n")
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "workers must be at most 64" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def _run_capped(cfg, out, cap_bytes):

@@ -150,6 +150,9 @@ def test_parse_config_option_types():
     ("experiment = norms\nbogus = 1\n", "unknown key 'bogus'"),
     ("experiment = norms\nreps = 0\n", "at least 1"),
     ("experiment = norms\nreps = 2000000\n", "stay below"),
+    ("experiment = norms\nworkers = 0\n", "at least 1"),
+    ("experiment = norms\nworkers = 65\n", "at most 64"),
+    ("experiment = norms\nworkers = 1000000000\n", "at most 64"),
     ("experiment = norms\nseed = -1\n", "at least 0"),
     ("experiment = norms\nseed = 100.5\n", "must be an integer"),
     ("experiment = norms\nseed = 1e20\n", "must be an integer"),
@@ -171,6 +174,10 @@ def test_parse_config_option_types():
 def test_parse_config_rejects(text, fragment):
     with pytest.raises(ex.ConfigError, match=fragment):
         _parse(text)
+
+
+def test_parse_config_workers_ceiling_is_inclusive():
+    assert _parse("experiment = norms\nworkers = 64\n").workers == ex._MAX_WORKERS == 64
 
 
 def test_parse_config_integers_are_exact():
@@ -247,6 +254,13 @@ def test_parse_config_experiment_constraints(text, fragment):
 # CSV formatting
 
 
+def _per_cell_csv(table):
+    """What write_csv must write: each cell through _format_cell."""
+    lines = [",".join(table.header)]
+    lines.extend(",".join(map(ex._format_cell, row)) for row in table.rows)
+    return "\n".join(lines) + "\n"
+
+
 def test_write_csv_formats(tmp_path):
     table = ex.CsvTable(
         ("name", "count", "value", "flag"),
@@ -261,6 +275,57 @@ def test_write_csv_formats(tmp_path):
     assert lines[2] == "b,-2,nan,0"
     assert text.endswith("\n")
     assert "\r" not in text
+    assert text == _per_cell_csv(table)
+
+
+_FLOATS = (0.0, -0.0, float("nan"), float("inf"), -float("inf"), 5e-324, 0.1)
+
+
+def _many_rows(count):
+    """Rows whose columns repeat values that compare equal but print
+    apart, columns of one value, and mixed columns."""
+    rows = []
+    for i in range(count):
+        rows.append((
+            _FLOATS[i % len(_FLOATS)],
+            # as rip's certified column: True, 1, 1.0 and nan
+            (True, 1, 1.0, float("nan"))[i % 4],
+            (0.0, -0.0)[i % 2],
+            -0.0,
+            0.0,
+            float("nan"),
+            0.1,
+            True,
+            False,
+            1,
+            (1, 1.0)[i % 2],
+            2**53 - 2 + i,
+            2**64 + i,
+            -(2**53) - i,
+            np.float64(_FLOATS[i % len(_FLOATS)]),
+            np.int64(2**53 + i),
+            np.bool_(i % 3 == 0),
+            "cell",
+        ))
+    return rows
+
+
+def test_write_csv_columns_match_the_per_cell_reference(tmp_path):
+    rows = _many_rows(300)
+    table = ex.CsvTable(tuple(f"c{j}" for j in range(len(rows[0]))), tuple(rows))
+    path = tmp_path / "t.csv"
+    ex.write_csv(path, table)
+    text = path.read_text()
+    assert text == _per_cell_csv(table)
+    lines = text.splitlines()
+    assert [line.split(",")[2] for line in lines[1:5]] == ["0", "-0", "0", "-0"]
+    assert {line.split(",")[3] for line in lines[1:]} == {"-0"}
+    assert [line.split(",")[1] for line in lines[1:5]] == ["1", "1", "1", "nan"]
+    # one row, no rows, and a table of repeated values only
+    for sub in ((rows[0],), (), ((0.5, 7),) * 3):
+        header = table.header[:len(sub[0])] if sub else table.header
+        ex.write_csv(path, ex.CsvTable(header, sub))
+        assert path.read_text() == _per_cell_csv(ex.CsvTable(header, sub))
 
 
 def test_write_csv_numpy_scalars_format_like_python(tmp_path):
@@ -271,13 +336,37 @@ def test_write_csv_numpy_scalars_format_like_python(tmp_path):
                  np.int64(-3), np.int64(2**63 - 1), np.bool_(True),
                  np.bool_(False))
     header = tuple(f"c{i}" for i in range(len(python_row)))
-    ex.write_csv(tmp_path / "python.csv", ex.CsvTable(header, (python_row,)))
-    ex.write_csv(tmp_path / "numpy.csv", ex.CsvTable(header, (numpy_row,)))
-    text = (tmp_path / "python.csv").read_text()
-    assert text == (tmp_path / "numpy.csv").read_text()
-    assert text.splitlines()[1] == (
-        "0.10000000000000001,-0,4.9406564584124654e-324,inf,nan,7,-3,"
-        "9223372036854775807,1,0")
+    for count in (1, 200):
+        python = ex.CsvTable(header, (python_row,) * count)
+        numpy = ex.CsvTable(header, (numpy_row,) * count)
+        ex.write_csv(tmp_path / "python.csv", python)
+        ex.write_csv(tmp_path / "numpy.csv", numpy)
+        text = (tmp_path / "python.csv").read_text()
+        assert text == (tmp_path / "numpy.csv").read_text()
+        assert text == _per_cell_csv(python) == _per_cell_csv(numpy)
+        assert text.splitlines()[1:] == [
+            "0.10000000000000001,-0,4.9406564584124654e-324,inf,nan,7,-3,"
+            "9223372036854775807,1,0"] * count
+
+
+@pytest.mark.parametrize("nested", [
+    [[{"a": 1.0}, {"b": 1.0}]],
+    [[{"a": 1.0, "b": 2.0}, {"b": 2.0, "a": 1.0}]],
+    [[{"a": 1.0}, {"a": 1.0, "b": 2.0}]],
+    [[{"a": 1.0}, {"a": 1.0}], [{"b": 1.0}, {"b": 1.0}]],
+], ids=["key", "order", "extra", "cells"])
+def test_task_table_rejects_rows_that_disagree(nested):
+    points = [{"n": 10 * (cell + 1)} for cell in range(len(nested))]
+    with pytest.raises(ValueError, match="rows disagree on columns"):
+        ex._task_table(points, nested)
+
+
+def test_task_table_lays_out_point_rep_stream_then_task_columns():
+    with pytest.raises(ValueError, match="repeat a grid, rep or stream"):
+        ex._task_table([{"n": 10}], [[{"rep": 1.0}]])
+    table = ex._task_table([{"n": 10}, {"n": 20}], [[{"a": 0.5}], [{"a": -0.0}]])
+    assert table == ex.CsvTable(("n", "rep", "stream", "a"), (
+        (10, 0, 0, 0.5), (20, 0, ex._GRID_STRIDE * ex._BLOCK, -0.0)))
 
 
 def test_write_csv_rejects_commas_in_cells(tmp_path):
@@ -684,29 +773,90 @@ def _norms_runs(task, reps, workers):
     return ex._execute(config, spec, [{"alpha": 1.0, "n": 10}])
 
 
-def test_threaded_run_takes_runs_as_workers_free_up(monkeypatch):
+@pytest.fixture
+def pool_log(monkeypatch):
+    """The size of every thread pool ``_execute`` starts, and the jobs
+    submitted to it."""
+    log = {"sizes": [], "submitted": []}
+
+    class CountingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            log["sizes"].append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+        def submit(self, fn, /, *args, **kwargs):
+            log["submitted"].append(fn)
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(ex, "ThreadPoolExecutor", CountingPool)
+    return log
+
+
+def _rep_estimate(config, point, rep, stream):
+    return {"estimate": float(rep)}
+
+
+def test_threaded_run_takes_runs_as_workers_free_up(pool_log):
     # the pool gets one job per worker, which takes runs one at a time,
     # not one future per run made up front; with more workers than cores
     # and frequent thread switches every run still lands in its own row
-    submitted = []
-
-    class CountingPool(ThreadPoolExecutor):
-        def submit(self, fn, /, *args, **kwargs):
-            submitted.append(fn)
-            return super().submit(fn, *args, **kwargs)
-
-    def task(config, point, rep, stream):
-        return {"estimate": float(rep)}
-
-    monkeypatch.setattr(ex, "ThreadPoolExecutor", CountingPool)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        (rows,) = _norms_runs(task, 3000, 8)
+        (rows,) = _norms_runs(_rep_estimate, 3000, 8)
     finally:
         sys.setswitchinterval(interval)
     assert [row["estimate"] for row in rows] == [float(r) for r in range(3000)]
-    assert len(submitted) == 8
+    assert pool_log["sizes"] == [8]
+    assert len(pool_log["submitted"]) == 8
+
+
+@pytest.mark.parametrize("reps, workers, pool", [
+    (3, 8, [3]), (1, 8, []), (2, 2, [2]), (5, 1, []),
+])
+def test_threaded_run_starts_no_more_threads_than_runs(pool_log, reps,
+                                                       workers, pool):
+    (rows,) = _norms_runs(_rep_estimate, reps, workers)
+    assert [row["estimate"] for row in rows] == [float(r) for r in range(reps)]
+    assert pool_log["sizes"] == pool
+    assert len(pool_log["submitted"]) == sum(pool)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_streams_are_keyed_in_blocks_of_whole_runs(monkeypatch, workers):
+    # Blocks of at most five ids and runs of two reps: a block holds two
+    # runs and is keyed when its first run is taken, never across cells,
+    # and every stream keeps its id and its key.
+    calls = []
+    seen = []
+    keyed = sp.RngStream.keyed
+
+    def spy(seed, stream_ids):
+        calls.append(list(stream_ids))
+        return keyed(seed, calls[-1])
+
+    def task(config, point, reps, streams):
+        seen.append((reps.start, len(calls)))
+        return [{"stream": s.stream_id, "same": np.array_equal(
+                    s._key, np.random.SeedSequence(entropy=[3, s.stream_id])
+                    .generate_state(3, np.uint64))}
+                for s in streams]
+
+    monkeypatch.setattr(ex, "_KEY_BLOCK", 5)
+    monkeypatch.setattr(sp.RngStream, "keyed", spy)
+    config = _parse("experiment = norms\nalpha = 1, 2\nn = 10\nreps = 9\n"
+                    f"seed = 3\nworkers = {workers}\n")
+    spec = dataclasses.replace(ex.REGISTRY["norms"], task=task,
+                               reps_per_task=lambda config, point: 2)
+    nested = ex._execute(config, spec, ex._grid_points(config, spec))
+    for cell, rows in enumerate(nested):
+        assert [row["stream"] for row in rows] == [
+            (cell * ex._GRID_STRIDE + rep) * ex._BLOCK for rep in range(9)]
+        assert all(row["same"] for row in rows)
+    assert [len(ids) for ids in calls] == [4, 4, 1, 4, 4, 1]
+    if workers == 1:
+        assert seen == [(0, 1), (2, 1), (4, 2), (6, 2), (8, 3),
+                        (0, 4), (2, 4), (4, 5), (6, 5), (8, 6)]
 
 
 def test_threaded_run_raises_the_earliest_failure():

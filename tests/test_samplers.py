@@ -89,6 +89,48 @@ def test_keyed_stream_equals_plain_stream():
         sp.RngStream.keyed(7, [1.5])
 
 
+def _raised(make):
+    try:
+        make()
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("seed, ids", [
+    (7, [0, 8, 2.0, 24]),            # a float in the middle, integral or not
+    (7, [0, 8, 1.5, 2**64]),         # the first bad id sets the error
+    (7, [0, 8, -1, 24]),
+    (7, [3, np.int64(-5), 2**63]),
+    (7, [2**63, 2**64, 5]),
+    (7, [0, 8, "16"]),
+    (7, [[0, 8]]),
+    (-1, [0, 8]),
+    (2**64, [0, 8]),
+    (1.0, [0, 8]),
+    (-1, []),
+])
+def test_keyed_rejects_what_a_stream_rejects(seed, ids):
+    def plain():
+        return [sp.RngStream(seed, i) for i in ids] or sp.RngStream(seed)
+
+    expected = _raised(plain)
+    assert expected is not None
+    assert _raised(lambda: sp.RngStream.keyed(seed, ids)) == expected
+
+
+def test_keyed_accepts_numpy_and_bool_ids():
+    for ids in ([np.int64(3), 5, True], [np.uint64(2**64 - 1), 0],
+                [False, True], [2**63, np.int64(4)], np.arange(4), range(3)):
+        keyed = sp.RngStream.keyed(np.int64(7), ids)
+        assert keyed == [sp.RngStream(np.int64(7), i) for i in ids]
+        for stream in keyed:
+            plain = sp.RngStream(7, int(stream.stream_id))
+            assert np.array_equal(stream.generator().bit_generator.random_raw(2),
+                                  plain.generator().bit_generator.random_raw(2))
+    assert sp.RngStream.keyed(7, []) == []
+
+
 def test_scalar_law_validation():
     with pytest.raises(ValueError):
         sp.SymmetricWeibull(0.0)
