@@ -19,7 +19,7 @@ from .orlicz import (
     eval_inverse,
     gbo_moment_norm,
 )
-from .tailbounds import max_average_threshold
+from .tailbounds import max_average, max_average_threshold
 from .samplers import (
     DataMatrix,
     Exponential,

@@ -92,7 +92,7 @@ def test_max_average_tail_domination():
             for qi, q in enumerate((10, 100)):
                 gen = sp.RngStream(SEED, 1000 * ai + 100 * ni + 10 * qi).generator()
                 sums = sp.IidCoordinates(law, q).column_sums(gen, n, reps)
-                maxima = np.max(np.abs(sums), axis=1) / n
+                maxima = tb.max_average(sums, n)
                 for t in (1.0, 2.0, 4.0):
                     threshold, prob = tb.max_average_threshold(
                         law.variance, law.psi_norm, n, q, alpha, t, constants)

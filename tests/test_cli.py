@@ -1,4 +1,4 @@
-"""Command line tests: subcommands, overrides, exit codes."""
+"""Command line tests: subcommands, overrides, exit codes, show."""
 
 from __future__ import annotations
 
@@ -63,6 +63,10 @@ def test_run_reports_nonconverged_fits(tmp_path, capsys, monkeypatch):
                    "(column nonconverged of summary.csv)"]
     with open(tmp_path / "out" / "summary.csv", newline="") as handle:
         assert [row["nonconverged"] for row in csv.DictReader(handle)] == ["2"]
+    # show prints the note the manifest keeps
+    assert cli.main(["show", str(tmp_path / "out")]) == 0
+    assert ("note        2 of 2 fits did not converge "
+            "(column nonconverged of summary.csv)") in capsys.readouterr().out
 
 
 def test_run_nonconverged_fit_is_not_certified(tmp_path, capsys):
@@ -220,12 +224,18 @@ def test_run_flag_overrides(tmp_path):
     assert bytes_a != (tmp_path / "c" / "results.csv").read_bytes()
 
 
-def test_run_rejects_bad_flag_values(tmp_path, capsys):
+def test_run_rejects_bad_flag_values(tmp_path, capsys, monkeypatch):
     cfg = _write_config(tmp_path, NORMS_SMALL)
     assert cli.main(["run", cfg, "--workers", "0"]) == 2
     assert cli.main(["run", cfg, "--seed", "-1"]) == 2
     err = capsys.readouterr().err
     assert "--workers" in err and "--seed" in err
+    # an empty --out is refused as an empty output_dir is, not taken as
+    # "no override" with the runs/ default
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["run", cfg, "--out", ""]) == 2
+    assert "output_dir must not be empty" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
     # above the ceiling: refused before any thread starts
     for workers in ("65", "1000000000"):
         assert cli.main(["run", cfg, "--workers", workers]) == 2
@@ -234,6 +244,54 @@ def test_run_rejects_bad_flag_values(tmp_path, capsys):
     assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "workers must be at most 64" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def _shown_run(tmp_path, capsys):
+    """A tiny run written by ``subweibull run``; its directory."""
+    cfg = _write_config(tmp_path, NORMS_SMALL + "seed = 5\n")
+    out = tmp_path / "out"
+    assert cli.main(["run", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    return out
+
+
+def test_show_prints_header_and_every_cell(tmp_path, capsys):
+    out = _shown_run(tmp_path, capsys)
+    assert cli.main(["show", str(out)]) == 0
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    for field in (["experiment", "norms"], ["schema", "norms.v3"],
+                  ["seed", "5"], ["reps", "2"], ["workers", "1"]):
+        assert field in lines
+    for name in ("summary.csv", "results.csv"):
+        with open(out / name, newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert len(rows) > 1
+        # each row's cells, as the CSV stores them, on one line in order
+        start = lines.index([name])
+        assert lines[start + 1:start + 1 + len(rows)] == rows
+
+
+@pytest.mark.parametrize("name, text, fragment", [
+    ("results.csv", None, "results.csv differs"),
+    ("manifest.json", "{not json", ""),
+    ("manifest.json", "[]", "not a run manifest"),
+    ("manifest.json", '{"experiment": "norms"}', "not a run manifest"),
+], ids=["edited-results", "not-json", "not-object", "missing-fields"])
+def test_show_rejects_edited_run(tmp_path, capsys, name, text, fragment):
+    out = _shown_run(tmp_path, capsys)
+    path = out / name
+    if text is None:  # same size, other bytes
+        text = path.read_text().replace("\n1,", "\n2,", 1)
+    path.write_text(text)
+    assert cli.main(["show", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and fragment in captured.err
+    assert captured.out == ""
+
+
+def test_show_missing_directory_exits_4(tmp_path, capsys):
+    assert cli.main(["show", str(tmp_path / "absent")]) == 4
+    assert "cannot read run" in capsys.readouterr().err
 
 
 def _run_capped(cfg, out, cap_bytes):

@@ -1,4 +1,6 @@
-"""Every demo script imports cleanly against the library and has a main."""
+"""Every demo script imports cleanly against the library and has a main;
+every demo config parses, names a registered experiment and leaves the
+output directory to ``subweibull run --out``."""
 
 from __future__ import annotations
 
@@ -7,11 +9,15 @@ from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+from subweibull import experiments as ex
+
+DEMO_DIR = Path(__file__).resolve().parent.parent / "demos"
+DEMOS = sorted(DEMO_DIR.glob("*.py"))
+CONFIGS = sorted(DEMO_DIR.glob("*.cfg"))
 
 
 def test_demos_exist():
-    assert DEMOS
+    assert DEMOS and CONFIGS
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda path: path.stem)
@@ -20,3 +26,10 @@ def test_demo_imports_and_has_main(path):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     assert callable(module.main)
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda path: path.stem)
+def test_demo_config_parses(path):
+    config = ex.parse_config(path.read_text())
+    assert config.experiment in ex.REGISTRY
+    assert config.output_dir is None

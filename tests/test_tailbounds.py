@@ -1,4 +1,5 @@
-"""The closed-form max-average threshold: frozen values, monotonicity."""
+"""The closed-form max-average threshold: frozen values, monotonicity; the
+max-average statistic it bounds."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import pytest
 
 from subweibull import tailbounds as tb
 from subweibull.orlicz import BoundConstants
+from subweibull.samplers import RngStream, SymmetricWeibull
 
 C = BoundConstants()
 
@@ -41,3 +43,18 @@ def test_max_average_threshold_monotonicity():
     lo, _ = tb.max_average_threshold(1.0, 1.0, 500, 40, 0.7, 2.0, C)
     hi, _ = tb.max_average_threshold(2.0, 3.0, 500, 40, 0.7, 2.0, C)
     assert hi >= lo
+
+
+@pytest.mark.parametrize("n", [3, 7, 10, 1000])
+def test_max_average_matches_divide_first_forms(n):
+    # max_j |S_j| / n against dividing first, max_j |S_j / n|, and against
+    # np.max over rows then dividing, bit for bit
+    x = SymmetricWeibull(0.5).sample(RngStream(36, n).generator(), (200, n, 10))
+    sums = np.add.reduce(x, axis=1)
+    stat = tb.max_average(sums, n)
+    assert stat.shape == (200,)
+    for old in (np.max(np.abs(sums / n), axis=-1),
+                np.max(np.abs(sums), axis=1) / n):
+        assert np.array_equal(stat.view(np.uint64), old.view(np.uint64))
+    for rep in range(200):
+        assert tb.max_average(sums[rep], n) == stat[rep]
