@@ -7,7 +7,9 @@ header and both tables, each cell as the CSV stores it.
 Exit codes: 0 success, 2 configuration problem (a config too big for
 the memory available included; for ``show``, a manifest that is not a
 run manifest or a file that differs from it), 3 a certified invariant
-failed on concrete data, 4 filesystem trouble.
+failed on concrete data, 4 filesystem trouble.  A reader that closes
+standard output early (``subweibull show RUN | head``) ends the output
+quietly: the rest is dropped and the exit code is the command's own.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import csv
 import dataclasses
 import itertools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -59,9 +62,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fail(code: int, message: str) -> int:
+def _fail(code: int, message: str):
     print(f"error: {message}", file=sys.stderr)
-    return code
+    return code, []
 
 
 def _is_run_manifest(manifest) -> bool:
@@ -78,9 +81,10 @@ def _is_run_manifest(manifest) -> bool:
             <= {entry["name"] for entry in manifest["files"]})
 
 
-def _show(run_dir: Path) -> int:
+def _show(args):
     """Check every file the manifest lists against its recorded size and
-    SHA-256, then print the run's header and both tables."""
+    SHA-256, then give the run's header and both tables."""
+    run_dir = Path(args.run_dir)
     try:
         manifest = json.loads((run_dir / "manifest.json").read_text())
         if not _is_run_manifest(manifest):
@@ -101,27 +105,23 @@ def _show(run_dir: Path) -> int:
     header += [("reps", manifest["config_echo"]["reps"]),
                ("workers", manifest["workers"])]
     header += [("note", note) for note in manifest["notes"]]
-    for key, value in header:
-        print(f"{key:<12}{value}")
+    lines = [f"{key:<12}{value}" for key, value in header]
     for name, rows in tables:
         widths = [max(map(len, column))
                   for column in itertools.zip_longest(*rows, fillvalue="")]
-        print(f"\n{name}")
-        for row in rows:
-            print("  ".join(map(str.ljust, row, widths)).rstrip())
-    return 0
+        lines += ["", name]
+        lines += ["  ".join(map(str.ljust, row, widths)).rstrip()
+                  for row in rows]
+    return 0, lines
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+def _list(args):
+    return 0, [f"{name:<12}{description}"
+               for name, description in list_experiments()]
 
-    if args.command == "list":
-        for name, description in list_experiments():
-            print(f"{name:<12}{description}")
-        return 0
-    if args.command == "show":
-        return _show(Path(args.run_dir))
 
+def _run(args):
+    """Run a config file; its output directory and files, each with its digest."""
     try:
         text = Path(args.config).read_text()
     except OSError as exc:
@@ -158,11 +158,28 @@ def main(argv=None) -> int:
 
     for note in manifest.notes:
         print(f"warning: {note}", file=sys.stderr)
-    print(manifest.output_dir)
-    for entry in manifest.files:
-        print(f"  {entry['name']}  sha256={entry['sha256'][:12]}  "
-              f"{entry['bytes']} bytes")
-    return 0
+    return 0, [str(manifest.output_dir)] + [
+        f"  {entry['name']}  sha256={entry['sha256'][:12]}  "
+        f"{entry['bytes']} bytes" for entry in manifest.files]
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    command = {"list": _list, "show": _show, "run": _run}[args.command]
+    # the command's status is settled, and its files written, before any
+    # line is printed
+    status, lines = command(args)
+    try:
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe (``| head``); stdout goes to the null
+        # device so that the flush at exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return status
 
 
 if __name__ == "__main__":

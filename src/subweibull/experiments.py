@@ -570,9 +570,13 @@ def _tailcheck_validate(config):
 
 
 def _covariance_reps_per_task(config, point):
-    """As many reps as one sampler chunk holds, so a run's draw is one
-    chunk of the Weibull transform; at least one."""
-    return max(1, _CHUNK // (point["n"] * point["p"]))
+    """As many reps as about 2^17 values hold (four sampler chunks), at
+    least one.
+
+    At p = 5 and n = 20 that is 1,310 reps, whose streams the stacked draw
+    steps as uint64 lanes: the lanes' fixed cost per step is shared by
+    many streams, while a run's draw stays about 1 MB."""
+    return max(1, 4 * _CHUNK // (point["n"] * point["p"]))
 
 
 def _covariance_task(config, point, reps, streams):

@@ -13,14 +13,31 @@ as ``Generator.random`` forms it, and its lowest bit gives the sign.  The
 values are built in place in cache-sized chunks.  ``Pareto`` keeps its
 ``random`` draw followed by an ``integers`` sign draw.
 
-The stacked draw: ``SymmetricWeibull.sample`` also takes a list of k
-generators with a size (k, ...), and slice r of the result is then what
-``sample(gens[r], size[1:])`` returns on its own, bit for bit.  Slice r
-reads its words from generator r alone, in order, and the chunked
-transform runs over the whole block, so a chunk may hold the words of
-several generators.  ``draw_stack(law, n, streams)`` builds one generator
-per stream and stacks the n-row samples that ``draw_matrix`` would draw
-from each.
+The stacked draw: ``SymmetricWeibull.sample`` also takes a run of k
+streams, or their (k, 3) SFC64 keys, with a size (k, ...), and slice r
+of the result is then what stream r's own generator draws for
+``size[1:]``, bit for bit.  The run's W = prod(size[1:]) words per
+stream fill the output's own bits, row r from stream r, and the chunked
+transform then runs over them in place.  The words come one of two
+ways, each giving every stream's ``random_raw(W)`` exactly:
+
+- as lanes (``_lane_words``): SFC64 ported to numpy, the k generators
+  stepped together as uint64 arrays, 12 + W steps of nine ufunc calls,
+  each step a fixed cost of some µs plus a few ns per lane;
+- one ``np.random.SFC64`` per key, 2-5 µs a key plus a few ns a word.
+
+Lanes pay for many short streams and lose for few or long ones.  They
+are taken when ``k (700 - W) > 1900 (12 + W)``, a rule fitted to the
+crossovers of these two paths measured on 2 vCPUs at one thread (numpy
+2.4.6; k on a grid of ratio 2^(1/4), the crossing interpolated in log k,
+two scans).  Lanes first cost less per stream at k of about 36-39 for
+W = 1, 66 for W = 10, 125-129 for W = 30, 225 for W = 60, 343-345 for
+W = 100, 540 for W = 150, 716-893 for W = 200 and 1,362-1,477 for
+W = 300, and at no k up to 4,096 for W = 500 and 700.  The rule puts the
+crossings at 35, 61, 119, 214, 355, 560, 806 and 1,482, at 4,864 for
+W = 500, and takes no lanes from W = 700.
+``draw_stack(law, n, streams)`` stacks, with one such call, the n-row
+samples that ``draw_matrix`` would draw from each stream of a run.
 
 Laws closed under convolution also draw the sum of n iid copies
 directly (``sample_sums``), so a statistic of column sums costs q draws
@@ -239,22 +256,71 @@ class RngStream:
         return np.random.Generator(np.random.SFC64(seq))
 
 
-def _raw_words(gens, span: int, start: int, count: int) -> np.ndarray:
-    """The bit words of flat positions [start, start + count) of a block in
-    which ``gens[r]`` owns positions [r span, (r + 1) span), read in order.
+def _run_keys(run) -> np.ndarray:
+    """The (k, 3) SFC64 seeds of a run given as its k streams, or the
+    seeds themselves as a (k, 3) uint64 array."""
+    if isinstance(run, np.ndarray):
+        if run.dtype != np.uint64 or run.ndim != 2 or run.shape[1] != 3:
+            raise TypeError("a run's keys are a (k, 3) uint64 array")
+        return run
+    return np.array([
+        _stream_keys(stream.seed, [stream.stream_id])[0]
+        if stream._key is None else stream._key
+        for stream in run], dtype=np.uint64).reshape(-1, 3)
 
-    Words from one generator come as ``random_raw`` returns them; a range
-    that crosses into the next generator's positions is one concatenation
-    of each generator's share."""
-    first = start // span
-    stop = start + count
-    last = (stop - 1) // span
-    if first == last:
-        return gens[first].bit_generator.random_raw(count)
-    return np.concatenate([
-        gens[r].bit_generator.random_raw(
-            min((r + 1) * span, stop) - max(r * span, start))
-        for r in range(first, last + 1)])
+
+# SFC64 seeding discards this many outputs (numpy's ``sfc64_set_seed``)
+_DISCARD = 12
+
+
+def _lane_words(keys: np.ndarray, words: np.ndarray) -> None:
+    """Fill row r of the (k, W) uint64 array ``words`` with
+    ``SFC64(_StreamKey(keys[r])).random_raw(W)``, all k generators
+    stepped together as uint64 lanes.
+
+    One SFC64 step maps the state (a, b, c, w) to output a + b + w and
+    state (b ^ (b >> 11), 9 b, rotl(c, 24) + output, w + 1).  The counter
+    w is 1 after seeding, so it is the step number in every lane.  Every
+    operand is a uint64 array or an ``np.uint64``, so the words wrap
+    modulo 2^64 under any numpy promotion rules, and every step writes
+    into buffers allocated once.
+    """
+    k = len(keys)
+    a, b, c = (np.array(column) for column in keys.T)
+    out = np.empty(k, dtype=np.uint64)
+    rot = np.empty(k, dtype=np.uint64)
+    # the seeding steps' outputs are dropped in ``out``; step t > 12
+    # writes word t - 13 of every lane, column t - 13 of ``words``
+    targets = [out] * _DISCARD + list(words.T)
+    steps = np.arange(1, len(targets) + 1, dtype=np.uint64)
+    # scalars made once: building an np.uint64 costs a third of a ufunc call
+    eleven, nine, forty, twenty_four = (np.uint64(v) for v in (11, 9, 40, 24))
+    for step, target in zip(steps, targets):
+        np.add(a, b, out=out)
+        np.add(out, step, out=target)
+        np.right_shift(b, eleven, out=a)
+        np.bitwise_xor(a, b, out=a)
+        np.multiply(c, nine, out=b)
+        np.right_shift(c, forty, out=rot)
+        np.left_shift(c, twenty_four, out=c)
+        np.bitwise_or(c, rot, out=c)
+        np.add(c, target, out=c)
+
+
+def _run_words(keys: np.ndarray, words: np.ndarray) -> None:
+    """Fill row r of the (k, W) uint64 array ``words`` with the first W
+    words of the SFC64 generator seeded with ``keys[r]``: as lanes when
+    k (700 - W) > 1900 (12 + W), the rule the module docstring fits to
+    measured crossovers, else one generator per key."""
+    k, count = words.shape
+    if k * (700 - count) > 1900 * (_DISCARD + count):
+        _lane_words(keys, words)
+        return
+    for row, key in zip(words, keys):
+        raw = np.random.SFC64(_StreamKey(key)).random_raw
+        for start in range(0, count, _CHUNK):
+            piece = row[start:start + _CHUNK]
+            piece[...] = raw(piece.size)
 
 
 # ---------------------------------------------------------------------------
@@ -320,24 +386,34 @@ class SymmetricWeibull(ScalarLaw):
             raise ValueError("alpha must be positive")
 
     def sample(self, gen, size):
-        """Values of shape ``size`` from ``gen``, or from a list of k
-        generators with ``size`` (k, ...), slice r from ``gen[r]``."""
+        """Values of shape ``size`` from ``gen``; or, given a run of k
+        streams or their (k, 3) keys and a ``size`` (k, ...), the stack
+        whose slice r is what stream r's own generator draws."""
         out = np.empty(size)
         flat = out.reshape(-1)
-        if isinstance(gen, (list, tuple)):
-            if out.ndim == 0 or out.shape[0] != len(gen):
-                raise ValueError("size must lead with one slice per generator")
-            gens = gen
+        if isinstance(gen, (list, tuple, np.ndarray)):
+            keys = _run_keys(gen)
+            if out.ndim == 0 or out.shape[0] != len(keys):
+                raise ValueError("size must lead with one slice per stream")
+            _run_words(keys, flat.view(np.uint64).reshape(
+                len(keys), math.prod(out.shape[1:])))
+            raw = None
+            sign_buffer = np.empty(min(flat.size, _CHUNK), dtype=np.uint64)
         else:
-            gens = (gen,)
-        span = flat.size // len(gens)
+            raw = gen.bit_generator.random_raw
         for start in range(0, flat.size, _CHUNK):
             chunk = flat[start:start + _CHUNK]
             chunk_bits = chunk.view(np.uint64)
-            words = _raw_words(gens, span, start, chunk.size)
             # the output's bits hold w >> 11 until U = (w >> 11) 2^-53
-            # replaces them
-            np.right_shift(words, 11, out=chunk_bits)
+            # replaces them, and bit 0 of w waits at bit 63 of ``signs``
+            if raw is None:  # the run's words already fill the output
+                signs = np.left_shift(chunk_bits, 63,
+                                      out=sign_buffer[:chunk.size])
+                np.right_shift(chunk_bits, 11, out=chunk_bits)
+            else:
+                signs = raw(chunk.size)
+                np.right_shift(signs, 11, out=chunk_bits)
+                np.left_shift(signs, 63, out=signs)
             np.multiply(chunk_bits, 2.0**-53, out=chunk)
             np.subtract(1.0, chunk, out=chunk)
             np.log(chunk, out=chunk)
@@ -354,8 +430,7 @@ class SymmetricWeibull(ScalarLaw):
                     np.sqrt(chunk, out=chunk)
                 elif exponent != 1.0:
                     np.power(chunk, exponent, out=chunk)
-            np.left_shift(words, 63, out=words)
-            np.bitwise_or(chunk_bits, words, out=chunk_bits)
+            np.bitwise_or(chunk_bits, signs, out=chunk_bits)
         return out
 
     def sample_sums(self, gen: np.random.Generator, n: int, size):
@@ -672,13 +747,13 @@ def draw_stack(law: IidCoordinates, n: int, streams) -> DataMatrix:
     """A (len(streams), n, p) stack whose slice r is
     ``draw_matrix(law, n, streams[r]).values`` bit for bit.
 
-    The marginal of ``law`` must take a list of generators
-    (``SymmetricWeibull`` does); the whole stack is one ``sample`` call.
+    ``streams`` is a run of streams or their (k, 3) keys, and the marginal
+    of ``law`` must take one (``SymmetricWeibull`` does); the whole stack
+    is one ``sample`` call.
     """
     if not n >= 1:
         raise ValueError("n must be at least 1")
-    gens = [stream.generator() for stream in streams]
-    values = law.marginal.sample(gens, (len(gens), int(n), law.dim))
+    values = law.marginal.sample(streams, (len(streams), int(n), law.dim))
     return DataMatrix(int(n), law.dim, values, law)
 
 

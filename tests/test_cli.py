@@ -294,6 +294,25 @@ def test_show_missing_directory_exits_4(tmp_path, capsys):
     assert "cannot read run" in capsys.readouterr().err
 
 
+def test_show_into_a_closed_pipe_ends_quietly(tmp_path, capsys):
+    # 5,000 result rows are far more than a pipe holds, so show is still
+    # writing when the reader closes the pipe after one line
+    cfg = _write_config(tmp_path, "experiment = covariance\np = 5\nn = 20\n"
+                                  "reps = 5000\n")
+    out = tmp_path / "out"
+    assert cli.main(["run", cfg, "--out", str(out)]) == 0
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    with subprocess.Popen(
+            [sys.executable, "-m", "subweibull.cli", "show", str(out)],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as child:
+        first = child.stdout.readline()
+        child.stdout.close()
+        err = child.stderr.read()
+        status = child.wait(timeout=120)
+    assert first.split() == [b"experiment", b"covariance"]
+    assert (status, err) == (0, b"")
+
+
 def _run_capped(cfg, out, cap_bytes):
     """Run a config in a subprocess whose address space is capped, so an
     oversized allocation fails fast with MemoryError instead of drawing

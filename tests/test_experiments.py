@@ -527,16 +527,17 @@ def test_run_workers_do_not_change_bytes(tmp_path, text):
 @pytest.mark.parametrize("workers", [1, 3])
 def test_run_covariance_runs_match_the_per_rep_reference(tmp_path, workers,
                                                          centered):
-    # n p = 100 and 150 give runs of 327 and 218 reps, so 700 reps end in a
-    # shorter run in both cells; each row is the rep's own draw_matrix
+    # n p = 100 and 150 give runs of 1310 and 873 reps, so 2000 reps end in
+    # a shorter run in both cells, of 690 streams drawn as lanes and of 254
+    # drawn one generator each; each row is the rep's own draw_matrix
     text = (f"experiment = covariance\nalpha = 0.5\np = 5\nn = 20, 30\n"
-            f"centered = {centered}\nreps = 700\nseed = 4\nworkers = {workers}\n")
+            f"centered = {centered}\nreps = 2000\nseed = 4\nworkers = {workers}\n")
     spec = ex.REGISTRY["covariance"]
     config = _parse(text)
-    assert [spec.reps_per_task(config, {"p": 5, "n": n}) for n in (20, 30)] == [327, 218]
+    assert [spec.reps_per_task(config, {"p": 5, "n": n}) for n in (20, 30)] == [1310, 873]
     _, out = _run(text, tmp_path)
     rows = _read_rows(out / "results.csv")
-    assert len(rows) == 2 * 700
+    assert len(rows) == 2 * 2000
     law = sp.IidCoordinates(sp.SymmetricWeibull(0.5), 5)
     target = np.diag(law.coordinate_variances)
     kernel = cv.centered_cov if centered else cv.gram

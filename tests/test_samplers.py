@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -146,8 +147,10 @@ def test_scalar_law_validation():
         sp.Pareto(-2.0)
     with pytest.raises(ValueError):
         sp.Pareto(2.0, scale=0.0)
-    with pytest.raises(ValueError, match="one slice per generator"):
-        sp.SymmetricWeibull(1.0).sample([sp.RngStream(0, 0).generator()], (2, 3))
+    with pytest.raises(ValueError, match="one slice per stream"):
+        sp.SymmetricWeibull(1.0).sample([sp.RngStream(0, 0)], (2, 3))
+    with pytest.raises(TypeError, match="uint64"):
+        sp.SymmetricWeibull(1.0).sample(np.zeros((2, 3), dtype=np.int64), (2, 3))
 
 
 _CONTRACT_SIZES = [1, 2**15 - 1, 2**15, 2**15 + 1, (3, 4, 2**12 + 3)]
@@ -199,20 +202,61 @@ def test_weibull_stream_contract(alpha, size):
     assert np.array_equal(np.abs(z).view(np.uint64), former.view(np.uint64))
 
 
+def test_lane_words_match_sfc64_seeded_by_seed_sequence():
+    # SFC64 stepped across streams as uint64 lanes gives each stream's
+    # random_raw words, with no warning and no promotion out of uint64
+    seeds = [0, 2**32 - 1, 2**32, 2**64 - 1]
+    ids = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 8]
+    keys = np.concatenate([sp._stream_keys(seed, ids) for seed in seeds])
+    for count in (1, 12, 100, 2**15 + 3):
+        words = np.empty((len(keys), count), dtype=np.uint64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sp._lane_words(keys, words)
+        assert words.dtype == np.uint64
+        lane = iter(words)
+        for seed in seeds:
+            for sid in ids:
+                expected = np.random.SFC64(
+                    np.random.SeedSequence([seed, sid])).random_raw(count)
+                assert np.array_equal(next(lane), expected), (seed, sid, count)
+
+
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
-@pytest.mark.parametrize("shape", [
-    (3, 2**15 + 5),  # a slice spans chunks, and a chunk ends inside a slice
-    (9, 20, 5),  # several slices inside one chunk
-    (6, 7, 1000),  # slice boundaries in mid-chunk, across two chunks
+@pytest.mark.parametrize("shape, lanes", [
+    ((1, 2**15 + 5), False),  # one stream, its slice spanning chunks
+    ((3, 2**15 + 5), False),  # a chunk ends inside a slice
+    ((9, 20, 5), False),  # several slices inside one chunk
+    ((6, 7, 1000), False),  # slice boundaries in mid-chunk, across two chunks
+    ((340, 20, 5), False),  # just below the lane rule at 100 words a stream
+    ((360, 20, 5), True),  # just above it
+    ((1310, 20, 5), True),  # a covariance run of four chunks
+    ((400, 10, 3), True),
 ])
-def test_weibull_stacked_draw_matches_each_generator(alpha, shape):
+def test_weibull_stacked_draw_matches_each_generator(alpha, shape, lanes,
+                                                     monkeypatch):
+    # the stack of a run, given as its streams or as their keys, holds in
+    # slice r what stream r's own generator draws, on either side of the
+    # rule that picks lanes or one generator per stream
+    lane_words = sp._lane_words
+    lane_calls = []
+
+    def counted(*args):
+        lane_calls.append(1)
+        return lane_words(*args)
+
+    monkeypatch.setattr(sp, "_lane_words", counted)
     law = sp.SymmetricWeibull(alpha)
-    streams = [sp.RngStream(5, 8 * r) for r in range(shape[0])]
-    stack = law.sample([stream.generator() for stream in streams], shape)
-    assert stack.shape == shape
-    for r, stream in enumerate(streams):
-        alone = law.sample(stream.generator(), shape[1:])
-        assert np.array_equal(stack[r].view(np.uint64), alone.view(np.uint64))
+    ids = [8 * r + 3 for r in range(shape[0])]
+    streams = sp.RngStream.keyed(5, ids)
+    alone = np.stack([law.sample(stream.generator(), shape[1:])
+                      for stream in streams])
+    for run in (streams, sp._stream_keys(5, ids),
+                [sp.RngStream(5, i) for i in ids]):
+        stack = law.sample(run, shape)
+        assert stack.shape == shape
+        assert np.array_equal(stack.view(np.uint64), alone.view(np.uint64))
+    assert len(lane_calls) == (3 if lanes else 0)
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
